@@ -197,3 +197,32 @@ class TestTrapBaiting:
         result = self._trap_run(policies)
         baits = result.trace.events("bait")
         assert baits  # fraud was provable and reported
+
+
+class TestPbftFamilyViewChangeSafety:
+    """A known safety bug shared by pBFT, Polygraph and TRAP.
+
+    Fuzz campaign 0, trial 68: n=9, every replica honest, a partition
+    over [0.6, 29.0], duplicated links, replica 8 crashed over
+    [4.1, 20.3].  pRFT and HotStuff keep agreement on it.
+    """
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "pBFT-family view change carries no prepared certificate: replicas "
+            "0-7 broadcast the round-0 view change, yet still sign round-0 "
+            "commits when late prepares arrive after the partition heals; "
+            "replica 8 finalizes the round-0 block while the rest finalize a "
+            "round-1 block on genesis, because the next leader cannot "
+            "re-propose the prepared block"
+        ),
+    )
+    @pytest.mark.parametrize("protocol", ["pbft", "polygraph", "trap"])
+    def test_campaign_trial_68_keeps_agreement(self, protocol):
+        from repro.experiments.fuzz import generate_trial
+
+        trial = generate_trial(0, 68, "safe")
+        result = trial.scenario.with_params(protocol=protocol).run(seed=trial.seed)
+        assert check_robustness(result).agreement
+        assert not result.oracle.violated_names
