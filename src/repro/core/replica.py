@@ -31,7 +31,7 @@ Implementation notes, and where we deviate from the paper's figure:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Set
 
 from repro.agents.player import Player
 from repro.core.messages import (
@@ -57,16 +57,15 @@ from repro.core.pof import FraudDetector, FraudProof
 from repro.ledger.block import Block
 from repro.ledger.transaction import Transaction
 from repro.ledger.validation import ADVERSARIAL_MARKER_PREFIX
-from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext
+from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext, SlotState
 
 _FRAUD_PHASES = {Phase.PROPOSE.value, Phase.VOTE.value, Phase.COMMIT.value, Phase.REVEAL.value}
 
 
 @dataclass
-class RoundState:
+class RoundState(SlotState):
     """Everything a replica tracks for one round."""
 
-    number: int
     sent_proposal: Optional[ProposeMessage] = None
     proposals: Dict[str, ProposeMessage] = field(default_factory=dict)
     blocks: Dict[str, Block] = field(default_factory=dict)
@@ -78,21 +77,20 @@ class RoundState:
     reveal_senders: Dict[str, Set[int]] = field(default_factory=dict)
     finals: Dict[str, Dict[int, SignedStatement]] = field(default_factory=dict)
     final_sent: bool = False
-    finalized: bool = False
     tentative_digest: Optional[str] = None
     exposed: bool = False
-    timeouts: int = 0
     view_change_sent: bool = False
     view_changes: Dict[int, SignedStatement] = field(default_factory=dict)
     commit_view_sent: bool = False
     commit_view_message: Optional[CommitViewMessage] = None
     commit_views: Dict[int, CommitViewMessage] = field(default_factory=dict)
     view_committed: bool = False
-    advanced: bool = False
 
 
 class PRFTReplica(BaseReplica):
     """One pRFT player: 4-phase rounds, PoF accountability, view change."""
+
+    ROUND_STATE = RoundState
 
     def __init__(self, player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> None:
         super().__init__(player, config, ctx)
@@ -101,91 +99,6 @@ class PRFTReplica(BaseReplica):
         # collateral later, so evidence must survive an outage).
         self.detector = FraudDetector(registry=ctx.registry)
         self.reported_guilty: Set[int] = set()
-        self._started = False
-        # The round counter is journalled on entry (cheap, one integer)
-        # so a recovering replica re-enters the round it crashed in.
-        self.current_round = 0
-        self._init_volatile_state()
-
-    def _init_volatile_state(self) -> None:
-        """In-memory round state: lost on a crash, rebuilt on recovery."""
-        self._rounds: Dict[int, RoundState] = {}
-        self._future: Dict[int, List[Tuple[int, Any]]] = {}
-
-    # ------------------------------------------------------------------
-    # Round bookkeeping
-    # ------------------------------------------------------------------
-    def current_leader(self) -> int:
-        return self.leader_of_round(self.current_round)
-
-    def round_state(self, round_number: int) -> RoundState:
-        state = self._rounds.get(round_number)
-        if state is None:
-            state = RoundState(number=round_number)
-            self._rounds[round_number] = state
-        return state
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self._start_round(0)
-
-    def _start_round(self, round_number: int) -> None:
-        if self.halted:
-            return
-        if self.round_limit_reached(round_number):
-            self.trace("halt", round=round_number)
-            self.halt()
-            return
-        # A slot the pipeline already opened speculatively just becomes
-        # the new frontier: timer armed, proposal out, backlog drained.
-        already_open = self.current_round < round_number <= self._highest_open
-        self.current_round = round_number
-        self._highest_open = max(self._highest_open, round_number)
-        self._prune_pipeline_state()
-        state = self.round_state(round_number)
-        if not already_open:
-            self.trace("round_start", round=round_number, leader=self.leader_of_round(round_number))
-            self._arm_round_timer(round_number)
-            if self.leader_of_round(round_number) == self.player_id:
-                self._propose(round_number)
-            backlog = self._future.pop(round_number, [])
-            for sender, payload in backlog:
-                self.handle_payload(sender, payload)
-        elif state.finalized:
-            # The slot already finalized out of order while speculative;
-            # its timer is gone, so fast-forward the frontier past it.
-            self._advance(round_number)
-            return
-        self._maybe_extend_window()
-
-    def _open_pipelined_round(self, round_number: int) -> None:
-        """Open a slot ahead of the frontier (pipeline_depth > 1)."""
-        self.round_state(round_number)
-        self.trace("round_start", round=round_number, leader=self.leader_of_round(round_number))
-        self._arm_round_timer(round_number)
-        if self.leader_of_round(round_number) == self.player_id:
-            self._propose(round_number)
-        for sender, payload in self._future.pop(round_number, []):
-            self.handle_payload(sender, payload)
-
-    def _arm_round_timer(self, round_number: int) -> None:
-        # Re-arms after repeat timeouts back off exponentially (see
-        # BaseReplica.retry_delay); the first arm is the plain timeout.
-        self.set_timer(
-            f"round-{round_number}",
-            self._round_timer_delay(round_number),
-            lambda: self._on_round_timeout(round_number),
-        )
-
-    def _advance(self, from_round: int) -> None:
-        state = self.round_state(from_round)
-        if state.advanced or self.current_round != from_round:
-            return
-        state.advanced = True
-        self.cancel_timer(f"round-{from_round}")
-        self._start_round(from_round + 1)
 
     # ------------------------------------------------------------------
     # Propose phase
@@ -233,11 +146,8 @@ class PRFTReplica(BaseReplica):
     # Dispatch
     # ------------------------------------------------------------------
     def handle_payload(self, sender: int, payload: Any) -> None:
-        round_number = getattr(payload, "round_number", None)
+        round_number = self._live_round(sender, payload)
         if round_number is None:
-            return
-        if round_number > self.dispatch_horizon():
-            self._future.setdefault(round_number, []).append((sender, payload))
             return
         if round_number < self.current_round:
             self._absorb_for_accountability(sender, payload)
@@ -996,5 +906,6 @@ class PRFTReplica(BaseReplica):
 
 
 def prft_factory(player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> PRFTReplica:
-    """Factory for :func:`repro.protocols.runner.run_consensus`."""
+    """Replica factory for :class:`~repro.protocols.spec.RunSpec` and
+    :func:`~repro.protocols.runner.run`."""
     return PRFTReplica(player, config, ctx)

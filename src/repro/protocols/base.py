@@ -4,7 +4,10 @@ Every protocol (pRFT, pBFT, HotStuff, Polygraph, TRAP) subclasses
 :class:`BaseReplica`, which wires a :class:`~repro.agents.player.Player`
 to the simulation context and funnels *all* outgoing traffic through
 the player's strategy — the single choke point where abstention,
-equivocation and censorship can occur.
+equivocation and censorship can occur.  It also owns the one slot
+lifecycle every protocol runs: per-round state, the round timer,
+advancing the commit frontier, the pipelined slot window and the
+buffer for traffic from rounds not yet open.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro.agents.player import Player
 from repro.agents.strategies import MessageFactory
@@ -150,13 +153,37 @@ class ProtocolContext:
         return self.engine.now
 
 
+@dataclass
+class SlotState:
+    """The per-round fields the shared slot lifecycle reads and writes.
+
+    Each protocol's round state extends this with its own message
+    bookkeeping.  ``timeouts`` drives the retransmission backoff,
+    ``finalized`` marks a decided slot (kept across crash recovery) and
+    ``advanced`` marks a slot the frontier has left.
+    """
+
+    number: int
+    timeouts: int = 0
+    finalized: bool = False
+    advanced: bool = False
+
+
 class BaseReplica(ABC):
     """One player's protocol state machine.
 
-    Subclasses implement :meth:`start`, :meth:`handle_payload` and
-    :meth:`on_timeout`; the base class provides signing, verification,
-    strategy-mediated broadcast, chain/mempool state and trace helpers.
+    The base class runs the slot lifecycle — :meth:`start`, per-round
+    state through :meth:`round_state`, the round timer, advancing the
+    frontier, pipelined slots and buffering of early traffic — and
+    provides signing, verification, strategy-mediated broadcast,
+    chain/mempool state and trace helpers.  Subclasses set
+    :attr:`ROUND_STATE` and implement :meth:`_propose`,
+    :meth:`_on_round_timeout`, :meth:`handle_payload` and
+    :meth:`_offer_catch_up`.
     """
+
+    #: The protocol's per-round state type (a :class:`SlotState`).
+    ROUND_STATE: ClassVar[type] = SlotState
 
     #: Cap on the retransmission backoff exponent: repeat timeouts on an
     #: unreliable network wait timeout · 2^min(k−1, cap) before the next
@@ -180,6 +207,11 @@ class BaseReplica(ABC):
         self.keypair: KeyPair = ctx.registry.keypair_of(player.player_id)
         self.halted = False
         self.status = ReplicaStatus.UP
+        self._started = False
+        # The round counter is journalled on entry (cheap, one integer)
+        # so a recovering replica re-enters the round it crashed in.
+        self.current_round = 0
+        self._init_volatile_state()
         self._reset_pipeline_state()
         ctx.network.register(player.player_id, self._on_envelope)
 
@@ -220,9 +252,100 @@ class BaseReplica(ABC):
             and len(self.mempool) == 0
         )
 
-    @abstractmethod
     def current_leader(self) -> int:
         """The current round's leader (used by censorship strategies)."""
+        return self.leader_of_round(self.current_round)
+
+    # ------------------------------------------------------------------
+    # Slot lifecycle
+    # ------------------------------------------------------------------
+    def _init_volatile_state(self) -> None:
+        """In-memory round state: lost on a crash, rebuilt on recovery."""
+        self._rounds: Dict[int, Any] = {}
+        #: round -> (sender, payload) traffic for rounds not yet open.
+        self._future: Dict[int, List[Tuple[int, Any]]] = {}
+
+    def round_state(self, round_number: int) -> Any:
+        """The state of ``round_number``, created on first use."""
+        state = self._rounds.get(round_number)
+        if state is None:
+            state = self._rounds[round_number] = self.ROUND_STATE(number=round_number)
+        return state
+
+    def start(self) -> None:
+        """Begin the protocol (round 0)."""
+        if self._started:
+            return
+        self._started = True
+        self._start_round(0)
+
+    def _start_round(self, round_number: int) -> None:
+        """Move the commit frontier to ``round_number``."""
+        if self.halted:
+            return
+        if self.round_limit_reached(round_number):
+            self.trace("halt", round=round_number)
+            self.halt()
+            return
+        # A slot the pipeline already opened speculatively just becomes
+        # the new frontier: timer armed, proposal out, backlog drained.
+        already_open = self.current_round < round_number <= self._highest_open
+        self.current_round = round_number
+        self._highest_open = max(self._highest_open, round_number)
+        self._prune_pipeline_state()
+        if not already_open:
+            self._open_round(round_number)
+        elif self.round_state(round_number).finalized:
+            # The slot already finalized out of order while speculative;
+            # its timer is gone, so fast-forward the frontier past it.
+            self._advance(round_number)
+            return
+        self._maybe_extend_window()
+
+    def _open_round(self, round_number: int) -> None:
+        """Open a slot: arm its timer, propose if leading, and drain the
+        traffic buffered for it.  Serves the frontier and, at pipeline
+        depth > 1, slots opened ahead of it."""
+        self.round_state(round_number)
+        self.trace("round_start", round=round_number, leader=self.leader_of_round(round_number))
+        self._arm_round_timer(round_number)
+        if self.leader_of_round(round_number) == self.player_id:
+            self._propose(round_number)
+        for sender, payload in self._future.pop(round_number, []):
+            self.handle_payload(sender, payload)
+
+    def _arm_round_timer(self, round_number: int) -> None:
+        # Re-arms after repeat timeouts back off exponentially (see
+        # retry_delay); the first arm is the plain timeout.
+        self.set_timer(
+            f"round-{round_number}",
+            self._round_timer_delay(round_number),
+            lambda: self._on_round_timeout(round_number),
+        )
+
+    def _advance(self, round_number: int) -> None:
+        """Leave the frontier slot ``round_number`` (decided or
+        abandoned) and start the next one."""
+        state = self.round_state(round_number)
+        if state.advanced or self.current_round != round_number:
+            return
+        state.advanced = True
+        self.cancel_timer(f"round-{round_number}")
+        self._start_round(round_number + 1)
+
+    def _live_round(self, sender: int, payload: Any) -> Optional[int]:
+        """The round ``payload`` belongs to, if it dispatches now.
+
+        Returns None for a payload without a round, and for one beyond
+        the dispatch horizon, which is buffered until its slot opens.
+        """
+        round_number = getattr(payload, "round_number", None)
+        if round_number is None:
+            return None
+        if round_number > self.dispatch_horizon():
+            self._future.setdefault(round_number, []).append((sender, payload))
+            return None
+        return round_number
 
     # ------------------------------------------------------------------
     # Pipelined block production (ProductionSpec)
@@ -244,7 +367,7 @@ class BaseReplica(ABC):
         collapsed onto its journalled frontier.
         """
         #: highest slot opened so far (>= current_round once rounds run).
-        self._highest_open: int = getattr(self, "current_round", 0)
+        self._highest_open: int = self.current_round
         #: round -> quorum-acknowledged block, for slots that acked but
         #: have not finalised yet; the speculative parent chain.
         self._acked_blocks: Dict[int, Any] = {}
@@ -318,10 +441,10 @@ class BaseReplica(ABC):
 
         A slot opens when the window is narrower than
         ``pipeline_depth`` and the highest open slot's proposal is
-        already acked.  Opening never touches ``current_round``: the
-        protocol's ``_open_pipelined_round`` arms the new slot's timer,
-        lets this replica propose if it leads the slot, and drains any
-        buffered traffic for it.
+        already acked.  Opening never touches ``current_round``:
+        :meth:`_open_round` arms the new slot's timer, lets this replica
+        propose if it leads the slot, and drains any buffered traffic
+        for it.
         """
         if self.halted or self.status is not ReplicaStatus.UP:
             return
@@ -333,17 +456,7 @@ class BaseReplica(ABC):
             if self.round_limit_reached(nxt):
                 return
             self._highest_open = nxt
-            self._open_pipelined_round(nxt)
-
-    def _open_pipelined_round(self, round_number: int) -> None:
-        """Protocol hook: open ``round_number`` ahead of the frontier.
-
-        Only reachable at depth > 1; protocols override it to create
-        round state, arm the round timer, propose when leading and
-        drain their ``_future`` buffer for the slot.  The base default
-        does nothing (a protocol that never overrides simply keeps the
-        sequential loop).
-        """
+            self._open_round(nxt)
 
     def _defer_finalize(self, round_number: int, retry: Callable[[], None]) -> None:
         """Park a finalize whose parent has not landed on the chain yet.
@@ -535,9 +648,8 @@ class BaseReplica(ABC):
     def _round_timer_delay(self, round_number: int) -> float:
         """The delay for (re)arming ``round_number``'s timer, backed off
         by how many times the round has already timed out."""
-        rounds = getattr(self, "_rounds", None)
-        state = rounds.get(round_number) if rounds is not None else None
-        return self.retry_delay(getattr(state, "timeouts", 0))
+        state = self._rounds.get(round_number)
+        return self.retry_delay(state.timeouts if state is not None else 0)
 
     # ------------------------------------------------------------------
     # Trace helper
@@ -548,8 +660,8 @@ class BaseReplica(ABC):
     def _offer_catch_up_range(self, requester: int, round_number: int) -> None:
         """Serve every round from the requested one up to our head.
 
-        Every protocol implements a per-round ``_offer_catch_up`` and
-        routes its catch-up requests through this range.  Under
+        Every protocol implements a per-round :meth:`_offer_catch_up`
+        and routes its catch-up requests through this range.  Under
         continuous load a recovered replica can lag many slots; if one
         view-change timeout only recovered one round, peers would keep
         minting new slots faster than the laggard closes the gap and it
@@ -610,15 +722,12 @@ class BaseReplica(ABC):
         quorum-certificate auditing only sees the surviving window on
         such runs — the same contract as the pruned ledger itself.
         """
-        rounds = getattr(self, "_rounds", None)
-        if not isinstance(rounds, dict):
-            return
         margin = max(keep_last, self.ctx.production.pipeline_depth + 1)
         cutoff = self.current_round - margin
         if cutoff <= 0:
             return
-        for number in [r for r in rounds if r < cutoff]:
-            del rounds[number]
+        for number in [r for r in self._rounds if r < cutoff]:
+            del self._rounds[number]
         detector = getattr(self, "detector", None)
         if detector is not None:
             detector.prune_below(cutoff)
@@ -668,24 +777,14 @@ class BaseReplica(ABC):
     def on_recover(self) -> None:
         """Rebuild volatile state and re-enter the journalled round.
 
-        Shared template for round-driven protocols (all five fit it):
-        subclasses provide ``_init_volatile_state`` (reset ``_rounds``
-        and any buffers) and ``_arm_round_timer`` (set the round's
-        timeout with the protocol's own callback).  Finalized round
-        states are kept — their outcome is just a view of the
-        persisted chain, and serving catch-up needs them; everything
-        in-flight is discarded, so the replica rejoins with a clean
-        slate and relies on peers' retransmissions — it does NOT
-        re-propose, which would look like equivocation.  A protocol
-        without per-round state can override this wholesale.
+        Finalized round states are kept — their outcome is just a view
+        of the persisted chain, and serving catch-up needs them;
+        everything in-flight is discarded, so the replica rejoins with
+        a clean slate and relies on peers' retransmissions — it does
+        NOT re-propose, which would look like equivocation.
         """
-        rounds = getattr(self, "_rounds", None)
-        if rounds is None:
-            return
         keep = {
-            number: state
-            for number, state in rounds.items()
-            if getattr(state, "finalized", False)
+            number: state for number, state in self._rounds.items() if state.finalized
         }
         self._init_volatile_state()
         self._rounds.update(keep)
@@ -702,12 +801,20 @@ class BaseReplica(ABC):
     # Abstract protocol hooks
     # ------------------------------------------------------------------
     @abstractmethod
-    def start(self) -> None:
-        """Begin the protocol (round 0)."""
+    def _propose(self, round_number: int) -> None:
+        """Build and broadcast this replica's proposal for a slot it leads."""
+
+    @abstractmethod
+    def _on_round_timeout(self, round_number: int) -> None:
+        """React to ``round_number``'s timer firing."""
 
     @abstractmethod
     def handle_payload(self, sender: int, payload: Any) -> None:
         """Process one delivered protocol message."""
+
+    @abstractmethod
+    def _offer_catch_up(self, requester: int, round_number: int) -> None:
+        """Resend this replica's record of one past round to a laggard."""
 
     def submit_transactions(self, transactions: List[Any]) -> None:
         """Client entry point: feed transactions into this replica."""

@@ -13,7 +13,7 @@ equivocations are not attributable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set
 
 from repro.agents.player import Player
 from repro.core.messages import (
@@ -26,7 +26,7 @@ from repro.core.messages import (
 from repro.crypto.aggregate import AggregateQC, aggregate_statements
 from repro.ledger.block import Block
 from repro.net.envelope import Envelope
-from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext
+from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext, SlotState
 
 HS_PROPOSE = "hs-propose"
 HS_PHASES = ("hs-prepare", "hs-precommit", "hs-commit")
@@ -142,8 +142,7 @@ class HsNewView:
 
 
 @dataclass
-class _HsRound:
-    number: int
+class _HsRound(SlotState):
     sent_proposal: Optional[HsProposal] = None
     blocks: Dict[str, Block] = field(default_factory=dict)
     votes: Dict[str, Dict[str, Set[int]]] = field(default_factory=dict)  # phase -> digest -> voters
@@ -153,90 +152,23 @@ class _HsRound:
     voted_phases: Set[str] = field(default_factory=set)
     votes_cast: Dict[str, str] = field(default_factory=dict)  # phase -> digest we voted
     certified_phases: Set[str] = field(default_factory=set)
-    timeouts: int = 0
     decide_certificate: Optional[QuorumCertificate] = None
     decided_digest: Optional[str] = None
-    finalized: bool = False
-    advanced: bool = False
 
 
 class HotStuffReplica(BaseReplica):
     """Linear leader-relayed BFT with chained quorum certificates."""
 
-    def __init__(self, player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> None:
-        super().__init__(player, config, ctx)
-        self.current_round = 0
-        self._started = False
-        self._init_volatile_state()
+    ROUND_STATE = _HsRound
 
-    def _init_volatile_state(self) -> None:
-        """In-memory round state: lost on a crash, rebuilt on recovery."""
-        self._rounds: Dict[int, _HsRound] = {}
-        self._future: Dict[int, List[Tuple[int, Any]]] = {}
-
-    def current_leader(self) -> int:
-        return self.leader_of_round(self.current_round)
-
-    def _state(self, round_number: int) -> _HsRound:
-        if round_number not in self._rounds:
-            self._rounds[round_number] = _HsRound(number=round_number)
-        return self._rounds[round_number]
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self._start_round(0)
-
-    def _start_round(self, round_number: int) -> None:
-        if self.halted:
-            return
-        if self.round_limit_reached(round_number):
-            self.halt()
-            return
-        already_open = self.current_round < round_number <= self._highest_open
-        self.current_round = round_number
-        self._highest_open = max(self._highest_open, round_number)
-        self._prune_pipeline_state()
-        if not already_open:
-            self._arm_round_timer(round_number)
-            if self.leader_of_round(round_number) == self.player_id:
-                self._propose(round_number)
-            for sender, payload in self._future.pop(round_number, []):
-                self.handle_payload(sender, payload)
-        elif self._state(round_number).finalized:
-            # The slot decided while still speculative; its timer is
-            # long dead, so pace straight past it.
-            self._advance(round_number)
-            return
-        self._maybe_extend_window()
-
-    def _open_pipelined_round(self, round_number: int) -> None:
-        """Open a speculative slot ahead of the commit frontier."""
-        self._state(round_number)
-        self._arm_round_timer(round_number)
-        if self.leader_of_round(round_number) == self.player_id:
-            self._propose(round_number)
-        for sender, payload in self._future.pop(round_number, []):
-            self.handle_payload(sender, payload)
-
-    def _arm_round_timer(self, round_number: int) -> None:
-        # Re-arms after repeat timeouts back off exponentially (see
-        # BaseReplica.retry_delay); the first arm is the plain timeout.
-        self.set_timer(
-            f"round-{round_number}",
-            self._round_timer_delay(round_number),
-            lambda: self._on_timeout(round_number),
-        )
-
-    def _on_timeout(self, round_number: int) -> None:
+    def _on_round_timeout(self, round_number: int) -> None:
         """HotStuff paces rounds by timeout: advance unconditionally.
 
         On a faulty link, first ask peers for the decide we may have
         missed (the responses arrive after we advanced and go through
         the late-certificate adoption path).
         """
-        state = self._state(round_number)
+        state = self.round_state(round_number)
         if round_number > self.current_round:
             # A speculative slot's timer never paces the frontier: the
             # round either decides (deferred until its parent lands) or
@@ -298,14 +230,6 @@ class HotStuffReplica(BaseReplica):
             statement = make_statement(self.keypair, phase, round_number, digest)
             self._send_to_leader(HsVote(statement=statement), round_number)
 
-    def _advance(self, round_number: int) -> None:
-        state = self._state(round_number)
-        if state.advanced or self.current_round != round_number:
-            return
-        state.advanced = True
-        self.cancel_timer(f"round-{round_number}")
-        self._start_round(round_number + 1)
-
     def _propose(self, round_number: int) -> None:
         limit = self.block_tx_limit()
         candidates = self.mempool.select(limit, censor=self._inflight_tx_ids())
@@ -318,7 +242,7 @@ class HotStuffReplica(BaseReplica):
         )
         statement = make_statement(self.keypair, HS_PROPOSE, round_number, block.digest)
         message = HsProposal(block=block, statement=statement)
-        self._state(round_number).sent_proposal = message
+        self.round_state(round_number).sent_proposal = message
         self.broadcast(
             message,
             message_type="hs-propose",
@@ -345,11 +269,8 @@ class HotStuffReplica(BaseReplica):
 
     # ------------------------------------------------------------------
     def handle_payload(self, sender: int, payload: Any) -> None:
-        round_number = getattr(payload, "round_number", None)
+        round_number = self._live_round(sender, payload)
         if round_number is None:
-            return
-        if round_number > self.dispatch_horizon():
-            self._future.setdefault(round_number, []).append((sender, payload))
             return
         if isinstance(payload, HsNewView):
             self._on_newview(sender, payload)
@@ -382,7 +303,7 @@ class HotStuffReplica(BaseReplica):
 
     def _on_proposal(self, sender: int, message: HsProposal) -> None:
         round_number = message.round_number
-        state = self._state(round_number)
+        state = self.round_state(round_number)
         if sender != self.leader_of_round(round_number):
             return
         if message.statement.phase != HS_PROPOSE or message.statement.signer != sender:
@@ -414,7 +335,7 @@ class HotStuffReplica(BaseReplica):
             return
         if not verify_statement(self.ctx.registry, statement):
             return
-        state = self._state(round_number)
+        state = self.round_state(round_number)
         voters = state.votes.setdefault(statement.phase, {}).setdefault(statement.digest, set())
         voters.add(sender)
         if self.ctx.aggregate_certs:
@@ -516,7 +437,7 @@ class HotStuffReplica(BaseReplica):
             return
         if not self._aggregate_ok(certificate):
             return
-        state = self._state(round_number)
+        state = self.round_state(round_number)
         phase_index = HS_PHASES.index(certificate.phase) if certificate.phase in HS_PHASES else -1
         if phase_index < 0:
             return
@@ -605,7 +526,7 @@ class HotStuffReplica(BaseReplica):
             return
         if not self._aggregate_ok(certificate):
             return
-        state = self._state(certificate.round_number)
+        state = self.round_state(certificate.round_number)
         if state.finalized:
             return
         if message.block is not None and message.block.digest == certificate.digest:
@@ -681,5 +602,6 @@ class HotStuffReplica(BaseReplica):
 
 
 def hotstuff_factory(player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> HotStuffReplica:
-    """Factory for :func:`repro.protocols.runner.run_consensus`."""
+    """Replica factory for :class:`~repro.protocols.spec.RunSpec` and
+    :func:`~repro.protocols.runner.run`."""
     return HotStuffReplica(player, config, ctx)

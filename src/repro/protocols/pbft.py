@@ -18,7 +18,7 @@ and runs are bit-for-bit identical with the axis on or off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, ClassVar, Dict, Optional, Set
 
 from repro.agents.player import Player
 from repro.core.messages import (
@@ -28,7 +28,7 @@ from repro.core.messages import (
 )
 from repro.ledger.block import Block
 from repro.ledger.validation import ADVERSARIAL_MARKER_PREFIX
-from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext
+from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext, SlotState
 
 PREPREPARE = "pbft-preprepare"
 PREPARE = "pbft-prepare"
@@ -93,8 +93,7 @@ class PbftViewChange:
 
 
 @dataclass
-class _PbftRound:
-    number: int
+class _PbftRound(SlotState):
     sent_preprepare: Optional[PrePrepare] = None
     blocks: Dict[str, Block] = field(default_factory=dict)
     prepared_digests: Set[str] = field(default_factory=set)
@@ -103,90 +102,28 @@ class _PbftRound:
     commits: Dict[str, Dict[int, SignedStatement]] = field(default_factory=dict)
     view_changes: Dict[int, SignedStatement] = field(default_factory=dict)
     view_change_sent: bool = False
-    timeouts: int = 0
     decided_digest: Optional[str] = None
-    finalized: bool = False
-    advanced: bool = False
 
 
 class PBFTReplica(BaseReplica):
-    """pBFT state machine on the shared replica framework."""
+    """pBFT state machine on the shared replica framework.
 
-    def __init__(self, player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> None:
-        super().__init__(player, config, ctx)
-        self.current_round = 0
-        self._started = False
-        self._init_volatile_state()
+    Subclasses that add accountability (Polygraph, and TRAP through it)
+    rename the phases and override the evidence hooks:
+    :meth:`_absorb_evidence`, :meth:`_commit_justified`,
+    :meth:`_make_commit`, :meth:`_make_view_change` and
+    :meth:`on_halted_payload`.
+    """
 
-    def _init_volatile_state(self) -> None:
-        """In-memory round state: lost on a crash, rebuilt on recovery."""
-        self._rounds: Dict[int, _PbftRound] = {}
-        self._future: Dict[int, List[Tuple[int, Any]]] = {}
-
-    def current_leader(self) -> int:
-        return self.leader_of_round(self.current_round)
-
-    def _state(self, round_number: int) -> _PbftRound:
-        if round_number not in self._rounds:
-            self._rounds[round_number] = _PbftRound(number=round_number)
-        return self._rounds[round_number]
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self._start_round(0)
-
-    def _start_round(self, round_number: int) -> None:
-        if self.halted:
-            return
-        if self.round_limit_reached(round_number):
-            self.halt()
-            return
-        # A slot the pipeline already opened speculatively just becomes
-        # the new frontier: its timer is armed, its proposal is out and
-        # its buffered traffic was drained at open time.
-        already_open = self.current_round < round_number <= self._highest_open
-        self.current_round = round_number
-        self._highest_open = max(self._highest_open, round_number)
-        self._prune_pipeline_state()
-        if not already_open:
-            self._arm_round_timer(round_number)
-            if self.leader_of_round(round_number) == self.player_id:
-                self._preprepare(round_number)
-            for sender, payload in self._future.pop(round_number, []):
-                self.handle_payload(sender, payload)
-        elif self._state(round_number).finalized:
-            # The slot already finalized out of order while speculative;
-            # its timer is gone, so fast-forward the frontier past it.
-            self._advance(round_number)
-            return
-        self._maybe_extend_window()
-
-    def _open_pipelined_round(self, round_number: int) -> None:
-        """Open a slot ahead of the frontier (pipeline_depth > 1)."""
-        self._arm_round_timer(round_number)
-        if self.leader_of_round(round_number) == self.player_id:
-            self._preprepare(round_number)
-        for sender, payload in self._future.pop(round_number, []):
-            self.handle_payload(sender, payload)
-
-    def _arm_round_timer(self, round_number: int) -> None:
-        # Re-arms after repeat timeouts back off exponentially (see
-        # BaseReplica.retry_delay); the first arm is the plain timeout.
-        self.set_timer(
-            f"round-{round_number}",
-            self._round_timer_delay(round_number),
-            lambda: self._on_timeout(round_number),
-        )
-
-    def _advance(self, round_number: int) -> None:
-        state = self._state(round_number)
-        if state.advanced or self.current_round != round_number:
-            return
-        state.advanced = True
-        self.cancel_timer(f"round-{round_number}")
-        self._start_round(round_number + 1)
+    ROUND_STATE = _PbftRound
+    #: Phase strings; each doubles as the message type on the wire.
+    PREPREPARE = PREPREPARE
+    PREPARE = PREPARE
+    COMMIT = COMMIT
+    VIEW_CHANGE = VIEW_CHANGE
+    #: Message types of the commit and view-change phases.
+    COMMIT_MESSAGE: ClassVar[type] = PhaseVote
+    VIEW_CHANGE_MESSAGE: ClassVar[type] = PbftViewChange
 
     # ------------------------------------------------------------------
     def _build_block(self, round_number: int, conflict_marker: bool = False) -> Block:
@@ -209,39 +146,65 @@ class PBFTReplica(BaseReplica):
 
     def _make_preprepare(self, round_number: int, conflict_marker: bool = False) -> PrePrepare:
         block = self._build_block(round_number, conflict_marker=conflict_marker)
-        statement = make_statement(self.keypair, PREPREPARE, round_number, block.digest)
+        statement = make_statement(self.keypair, self.PREPREPARE, round_number, block.digest)
         return PrePrepare(block=block, statement=statement)
 
-    def _preprepare(self, round_number: int) -> None:
+    def _propose(self, round_number: int) -> None:
         primary = self._make_preprepare(round_number)
-        self._state(round_number).sent_preprepare = primary
+        self.round_state(round_number).sent_preprepare = primary
         self.broadcast(
             primary,
-            message_type="pbft-preprepare",
+            message_type=self.PREPREPARE,
             size_bytes=primary.size_bytes,
             round_number=round_number,
             alternative_factory=lambda: self._make_preprepare(round_number, conflict_marker=True),
-            phase=PREPREPARE,
+            phase=self.PREPREPARE,
         )
 
     # ------------------------------------------------------------------
+    # Accountability hooks (no-ops: pBFT keeps no evidence)
+    # ------------------------------------------------------------------
+    def _absorb_evidence(self, message: Any) -> None:
+        """Feed a validated message's signed statements to fraud
+        detection."""
+
+    def _commit_justified(self, message: Any) -> bool:
+        """Whether a validly signed commit carries a valid justification;
+        pBFT commits carry none."""
+        return True
+
+    def _make_commit(self, state: _PbftRound, digest: str) -> Optional[Any]:
+        """Our commit for ``digest``, or None if we cannot justify it."""
+        statement = make_statement(self.keypair, self.COMMIT, state.number, digest)
+        return PhaseVote(statement=statement, block=state.blocks.get(digest))
+
+    def _make_view_change(self, round_number: int, state: Optional[_PbftRound] = None) -> Any:
+        """Our view change for ``round_number``.  ``state`` is given when
+        the round times out, so evidence can ride along, and omitted on
+        a catch-up resend."""
+        statement = make_statement(self.keypair, self.VIEW_CHANGE, round_number, "")
+        return PbftViewChange(statement=statement)
+
+    def on_halted_payload(self, sender: int, payload: Any) -> None:
+        """Past-round traffic, whether halted or not: the availability
+        of decided blocks outlives the round, so serve catch-up."""
+        self._maybe_serve_catch_up(sender, payload)
+
+    # ------------------------------------------------------------------
     def handle_payload(self, sender: int, payload: Any) -> None:
-        round_number = getattr(payload, "round_number", None)
+        round_number = self._live_round(sender, payload)
         if round_number is None:
             return
-        if round_number > self.dispatch_horizon():
-            self._future.setdefault(round_number, []).append((sender, payload))
-            return
         if round_number < self.current_round:
-            self._maybe_serve_catch_up(sender, payload)
+            self.on_halted_payload(sender, payload)
             return
         if isinstance(payload, PrePrepare):
             self._on_preprepare(sender, payload)
-        elif isinstance(payload, PhaseVote) and payload.statement.phase == PREPARE:
+        elif isinstance(payload, PhaseVote) and payload.statement.phase == self.PREPARE:
             self._on_prepare(sender, payload)
-        elif isinstance(payload, PhaseVote) and payload.statement.phase == COMMIT:
+        elif isinstance(payload, self.COMMIT_MESSAGE) and payload.statement.phase == self.COMMIT:
             self._on_commit(sender, payload)
-        elif isinstance(payload, PbftViewChange):
+        elif isinstance(payload, self.VIEW_CHANGE_MESSAGE):
             self._on_view_change(sender, payload)
 
     def _valid(self, statement: SignedStatement, sender: int, phase: str) -> bool:
@@ -253,13 +216,14 @@ class PBFTReplica(BaseReplica):
 
     def _on_preprepare(self, sender: int, message: PrePrepare) -> None:
         round_number = message.round_number
-        state = self._state(round_number)
+        state = self.round_state(round_number)
         if sender != self.leader_of_round(round_number):
             return
-        if not self._valid(message.statement, sender, PREPREPARE):
+        if not self._valid(message.statement, sender, self.PREPREPARE):
             return
         if message.block.digest != message.statement.digest:
             return
+        self._absorb_evidence(message)
         digest = message.digest
         state.blocks.setdefault(digest, message.block)
         may_sign = not state.prepared_digests or self.strategy.double_votes()
@@ -268,21 +232,24 @@ class PBFTReplica(BaseReplica):
         if message.block.parent_digest != self.expected_parent_digest(round_number):
             return
         state.prepared_digests.add(digest)
-        statement = make_statement(self.keypair, PREPARE, round_number, digest)
-        vote = PhaseVote(statement=statement)
+        self._broadcast_prepare(round_number, digest)
+
+    def _broadcast_prepare(self, round_number: int, digest: str) -> None:
+        vote = PhaseVote(statement=make_statement(self.keypair, self.PREPARE, round_number, digest))
         self.broadcast(
             vote,
-            message_type="pbft-prepare",
+            message_type=self.PREPARE,
             size_bytes=vote.size_bytes,
             round_number=round_number,
-            phase=PREPARE,
+            phase=self.PREPARE,
         )
 
     def _on_prepare(self, sender: int, message: PhaseVote) -> None:
         round_number = message.round_number
-        state = self._state(round_number)
-        if not self._valid(message.statement, sender, PREPARE):
+        state = self.round_state(round_number)
+        if not self._valid(message.statement, sender, self.PREPARE):
             return
+        self._absorb_evidence(message)
         digest = message.digest
         state.prepares.setdefault(digest, {})[sender] = message.statement
         if len(state.prepares[digest]) < self.config.quorum_size:
@@ -296,21 +263,26 @@ class PBFTReplica(BaseReplica):
         if digest in state.committed_digests or not may_sign:
             return
         state.committed_digests.add(digest)
-        statement = make_statement(self.keypair, COMMIT, round_number, digest)
-        vote = PhaseVote(statement=statement, block=state.blocks.get(digest))
+        # The prepare quorum just formed, so the commit is justified.
+        self._broadcast_commit(self._make_commit(state, digest), round_number)
+
+    def _broadcast_commit(self, commit: Any, round_number: int) -> None:
         self.broadcast(
-            vote,
-            message_type="pbft-commit",
-            size_bytes=vote.size_bytes,
+            commit,
+            message_type=self.COMMIT,
+            size_bytes=commit.size_bytes,
             round_number=round_number,
-            phase=COMMIT,
+            phase=self.COMMIT,
         )
 
-    def _on_commit(self, sender: int, message: PhaseVote) -> None:
+    def _on_commit(self, sender: int, message: Any) -> None:
         round_number = message.round_number
-        state = self._state(round_number)
-        if not self._valid(message.statement, sender, COMMIT):
+        state = self.round_state(round_number)
+        if not self._valid(message.statement, sender, self.COMMIT):
             return
+        if not self._commit_justified(message):
+            return
+        self._absorb_evidence(message)
         digest = message.digest
         if message.block is not None and message.block.digest == digest:
             state.blocks.setdefault(digest, message.block)
@@ -320,27 +292,21 @@ class PBFTReplica(BaseReplica):
         if len(state.commits[digest]) >= self.config.quorum_size:
             self._finalize(state, digest)
 
-    def on_halted_payload(self, sender: int, payload: Any) -> None:
-        """Halted replicas still serve catch-up: the availability of
-        decided blocks outlives the configured rounds."""
-        self._maybe_serve_catch_up(sender, payload)
-
     def _maybe_serve_catch_up(self, sender: int, payload: Any) -> None:
         """Serve a *verified* past-round ViewChange on a faulty link."""
         if not self.ctx.network.unreliable:
             return
-        if not isinstance(payload, PbftViewChange):
+        if not isinstance(payload, self.VIEW_CHANGE_MESSAGE):
             return
-        if not self._valid(payload.statement, sender, VIEW_CHANGE):
+        if not self._valid(payload.statement, sender, self.VIEW_CHANGE):
             return
         self._offer_catch_up_range(sender, payload.round_number)
 
     def _offer_catch_up(self, requester: int, round_number: int) -> None:
         """Retransmit our round outcome to a peer stuck behind lost traffic.
 
-        pBFT has no justification-carrying messages, so all we can
-        (soundly) resend is our *own* signature: our Commit vote with
-        the block for a finalized round, or our ViewChange vote for an
+        All we can (soundly) resend is our *own* signature: our commit
+        with the block for a finalized round, or our view change for an
         abandoned one.  The laggard assembles its quorum from many
         helpers' resends, one signer each — exactly the messages it
         would have received had the link not dropped them.  Only ever
@@ -356,25 +322,25 @@ class PBFTReplica(BaseReplica):
             digest = state.decided_digest
             if digest not in state.committed_digests:
                 # We finalized on a quorum of *others'* commits without
-                # signing this digest ourselves; rebuilding a commit
-                # would sign a value we never signed — an honest
-                # double-sign.  Let replicas that did commit it serve.
+                # signing this digest ourselves (our own commit went to
+                # a competing proposal).  Rebuilding a commit would sign
+                # a value we never signed — an honest double-sign.  Let
+                # replicas that did commit it serve.
                 return
-            block = state.blocks.get(digest)
-            if block is None:
+            if state.blocks.get(digest) is None:
                 return
-            statement = make_statement(self.keypair, COMMIT, round_number, digest)
-            vote = PhaseVote(statement=statement, block=block)
+            commit = self._make_commit(state, digest)
+            if commit is None:
+                return
             self.send_direct(
-                requester, vote, "pbft-commit", vote.size_bytes, round_number,
-                phase=COMMIT,
+                requester, commit, self.COMMIT, commit.size_bytes, round_number,
+                phase=self.COMMIT,
             )
         elif state.advanced:
-            statement = make_statement(self.keypair, VIEW_CHANGE, round_number, "")
-            vote = PbftViewChange(statement=statement)
+            view_change = self._make_view_change(round_number)
             self.send_direct(
-                requester, vote, "pbft-view-change", vote.size_bytes, round_number,
-                phase=VIEW_CHANGE,
+                requester, view_change, self.VIEW_CHANGE, view_change.size_bytes,
+                round_number, phase=self.VIEW_CHANGE,
             )
 
     def _finalize(self, state: _PbftRound, digest: str) -> None:
@@ -401,19 +367,19 @@ class PBFTReplica(BaseReplica):
         self._flush_deferred_finalizes()
 
     # ------------------------------------------------------------------
-    def _on_timeout(self, round_number: int) -> None:
+    def _on_round_timeout(self, round_number: int) -> None:
         if self.halted:
             return
         if round_number > self.current_round:
             # A speculative slot's timer stays alive, but only the
             # commit frontier retransmits or view-changes; a stalled
             # slot acts once the frontier reaches it.
-            if not self._state(round_number).finalized:
+            if not self.round_state(round_number).finalized:
                 self._arm_round_timer(round_number)
             return
         if self.current_round != round_number:
             return
-        state = self._state(round_number)
+        state = self.round_state(round_number)
         if state.finalized:
             return
         state.timeouts += 1
@@ -429,14 +395,13 @@ class PBFTReplica(BaseReplica):
         # the first copy; on reliable channels one ViewChange suffices.
         if not state.view_change_sent or self.ctx.network.unreliable:
             state.view_change_sent = True
-            statement = make_statement(self.keypair, VIEW_CHANGE, round_number, "")
-            message = PbftViewChange(statement=statement)
+            message = self._make_view_change(round_number, state)
             self.broadcast(
                 message,
-                message_type="pbft-view-change",
+                message_type=self.VIEW_CHANGE,
                 size_bytes=message.size_bytes,
                 round_number=round_number,
-                phase=VIEW_CHANGE,
+                phase=self.VIEW_CHANGE,
             )
         self._arm_round_timer(round_number)
 
@@ -454,43 +419,30 @@ class PBFTReplica(BaseReplica):
             # different block — a self-inflicted double-sign.
             self.broadcast(
                 state.sent_preprepare,
-                message_type="pbft-preprepare",
+                message_type=self.PREPREPARE,
                 size_bytes=state.sent_preprepare.size_bytes,
                 round_number=round_number,
-                phase=PREPREPARE,
+                phase=self.PREPREPARE,
             )
         for digest in sorted(state.prepared_digests):
-            statement = make_statement(self.keypair, PREPARE, round_number, digest)
-            vote = PhaseVote(statement=statement)
-            self.broadcast(
-                vote,
-                message_type="pbft-prepare",
-                size_bytes=vote.size_bytes,
-                round_number=round_number,
-                phase=PREPARE,
-            )
+            self._broadcast_prepare(round_number, digest)
         for digest in sorted(state.committed_digests):
-            statement = make_statement(self.keypair, COMMIT, round_number, digest)
-            vote = PhaseVote(statement=statement, block=state.blocks.get(digest))
-            self.broadcast(
-                vote,
-                message_type="pbft-commit",
-                size_bytes=vote.size_bytes,
-                round_number=round_number,
-                phase=COMMIT,
-            )
+            commit = self._make_commit(state, digest)
+            if commit is not None:
+                self._broadcast_commit(commit, round_number)
 
-    def _on_view_change(self, sender: int, message: PbftViewChange) -> None:
+    def _on_view_change(self, sender: int, message: Any) -> None:
         round_number = message.round_number
-        state = self._state(round_number)
-        if not self._valid(message.statement, sender, VIEW_CHANGE):
+        state = self.round_state(round_number)
+        if not self._valid(message.statement, sender, self.VIEW_CHANGE):
             return
+        self._absorb_evidence(message)
         state.view_changes[sender] = message.statement
         if len(state.view_changes) >= self.config.n - self.config.t0 and not state.finalized:
             self.trace("view_change_committed", round=round_number)
             self._advance(round_number)
 
-
 def pbft_factory(player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> PBFTReplica:
-    """Factory for :func:`repro.protocols.runner.run_consensus`."""
+    """Replica factory for :class:`~repro.protocols.spec.RunSpec` and
+    :func:`~repro.protocols.runner.run`."""
     return PBFTReplica(player, config, ctx)

@@ -61,5 +61,6 @@ class TrapReplica(PolygraphReplica):
 
 
 def trap_factory(player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> TrapReplica:
-    """Factory for :func:`repro.protocols.runner.run_consensus`."""
+    """Replica factory for :class:`~repro.protocols.spec.RunSpec` and
+    :func:`~repro.protocols.runner.run`."""
     return TrapReplica(player, config, ctx)
