@@ -185,10 +185,6 @@ class PolygraphReplica(PBFTReplica):
         """Accountability outlives the round and the run: keep absorbing
         evidence — and keep serving catch-up (decided blocks stay
         available)."""
-        self._late_absorb(payload)
-        super().on_halted_payload(sender, payload)
-
-    def _late_absorb(self, payload: Any) -> None:
         statement = getattr(payload, "statement", None)
         if isinstance(statement, SignedStatement) and verify_statement(self.ctx.registry, statement):
             self._absorb(statement)
@@ -200,6 +196,7 @@ class PolygraphReplica(PBFTReplica):
                 for stmt in bundle:
                     if verify_statement(self.ctx.registry, stmt):
                         self._absorb(stmt)
+        super().on_halted_payload(sender, payload)
 
 
 def polygraph_factory(
