@@ -10,6 +10,7 @@ from repro.agents.strategies import (
 )
 from repro.analysis.robustness import check_robustness
 from repro.core.replica import prft_factory
+from repro.experiments.fuzz import generate_trial
 from repro.gametheory.payoff import PlayerType
 from repro.gametheory.states import SystemState
 from repro.net.delays import FixedDelay
@@ -220,8 +221,6 @@ class TestPbftFamilyViewChangeSafety:
     )
     @pytest.mark.parametrize("protocol", ["pbft", "polygraph", "trap"])
     def test_campaign_trial_68_keeps_agreement(self, protocol):
-        from repro.experiments.fuzz import generate_trial
-
         trial = generate_trial(0, 68, "safe")
         result = trial.scenario.with_params(protocol=protocol).run(seed=trial.seed)
         assert check_robustness(result).agreement
