@@ -109,7 +109,7 @@ class PBFTReplica(BaseReplica):
     """pBFT state machine on the shared replica framework.
 
     Subclasses that add accountability (Polygraph, and TRAP through it)
-    rename the phases and override the evidence hooks:
+    rename the phases and message types and override the evidence hooks:
     :meth:`_absorb_evidence`, :meth:`_commit_justified`,
     :meth:`_make_commit`, :meth:`_make_view_change` and
     :meth:`on_halted_payload`.
@@ -121,7 +121,9 @@ class PBFTReplica(BaseReplica):
     PREPARE = PREPARE
     COMMIT = COMMIT
     VIEW_CHANGE = VIEW_CHANGE
-    #: Message types of the commit and view-change phases.
+    #: Message types of the four phases.
+    PREPREPARE_MESSAGE: ClassVar[type] = PrePrepare
+    PREPARE_MESSAGE: ClassVar[type] = PhaseVote
     COMMIT_MESSAGE: ClassVar[type] = PhaseVote
     VIEW_CHANGE_MESSAGE: ClassVar[type] = PbftViewChange
 
@@ -147,7 +149,7 @@ class PBFTReplica(BaseReplica):
     def _make_preprepare(self, round_number: int, conflict_marker: bool = False) -> PrePrepare:
         block = self._build_block(round_number, conflict_marker=conflict_marker)
         statement = make_statement(self.keypair, self.PREPREPARE, round_number, block.digest)
-        return PrePrepare(block=block, statement=statement)
+        return self.PREPREPARE_MESSAGE(block=block, statement=statement)
 
     def _propose(self, round_number: int) -> None:
         primary = self._make_preprepare(round_number)
@@ -198,9 +200,9 @@ class PBFTReplica(BaseReplica):
         if round_number < self.current_round:
             self.on_halted_payload(sender, payload)
             return
-        if isinstance(payload, PrePrepare):
+        if isinstance(payload, self.PREPREPARE_MESSAGE):
             self._on_preprepare(sender, payload)
-        elif isinstance(payload, PhaseVote) and payload.statement.phase == self.PREPARE:
+        elif isinstance(payload, self.PREPARE_MESSAGE) and payload.statement.phase == self.PREPARE:
             self._on_prepare(sender, payload)
         elif isinstance(payload, self.COMMIT_MESSAGE) and payload.statement.phase == self.COMMIT:
             self._on_commit(sender, payload)
@@ -235,7 +237,8 @@ class PBFTReplica(BaseReplica):
         self._broadcast_prepare(round_number, digest)
 
     def _broadcast_prepare(self, round_number: int, digest: str) -> None:
-        vote = PhaseVote(statement=make_statement(self.keypair, self.PREPARE, round_number, digest))
+        statement = make_statement(self.keypair, self.PREPARE, round_number, digest)
+        vote = self.PREPARE_MESSAGE(statement=statement)
         self.broadcast(
             vote,
             message_type=self.PREPARE,
@@ -441,6 +444,7 @@ class PBFTReplica(BaseReplica):
         if len(state.view_changes) >= self.config.n - self.config.t0 and not state.finalized:
             self.trace("view_change_committed", round=round_number)
             self._advance(round_number)
+
 
 def pbft_factory(player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> PBFTReplica:
     """Replica factory for :class:`~repro.protocols.spec.RunSpec` and

@@ -10,10 +10,13 @@ point: pRFT matches Polygraph's complexity while tolerating
 t < n/4, t + k < n/2 with rational players.
 
 :class:`PolygraphReplica` is :class:`~repro.protocols.pbft.PBFTReplica`
-under its own phase strings.  Proposals and prepares travel as pBFT's
-``PrePrepare`` and ``PhaseVote``; only the commit (:class:`PgCommit`)
-and the view change (:class:`PgViewChange`) carry evidence, and the
-replica overrides only pBFT's evidence hooks.
+under its own phase strings and message types.  Proposals and prepares
+are pBFT's ``PrePrepare`` and ``PhaseVote`` under Polygraph's names
+(:class:`PgPropose`, :class:`PgPrepare`): deviating strategies key
+per-message draws on the type name, so the names are part of a run's
+behaviour.  Only the commit (:class:`PgCommit`) and the view change
+(:class:`PgViewChange`) carry evidence, and the replica overrides only
+pBFT's evidence hooks.
 """
 
 from __future__ import annotations
@@ -34,12 +37,22 @@ from repro.core.messages import (
 from repro.core.pof import FraudDetector, FraudProof
 from repro.crypto.aggregate import AggregateQC
 from repro.protocols.base import ProtocolConfig, ProtocolContext
-from repro.protocols.pbft import PBFTReplica
+from repro.protocols.pbft import PBFTReplica, PhaseVote, PrePrepare
 
 PG_PROPOSE = "pg-propose"
 PG_PREPARE = "pg-prepare"
 PG_COMMIT = "pg-commit"
 PG_VIEW_CHANGE = "pg-view-change"
+
+
+@dataclass(frozen=True)
+class PgPropose(PrePrepare):
+    """Polygraph's proposal: a pBFT pre-prepare."""
+
+
+@dataclass(frozen=True)
+class PgPrepare(PhaseVote):
+    """Polygraph's prepare vote: a pBFT phase vote."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,8 @@ class PolygraphReplica(PBFTReplica):
     PREPARE = PG_PREPARE
     COMMIT = PG_COMMIT
     VIEW_CHANGE = PG_VIEW_CHANGE
+    PREPREPARE_MESSAGE = PgPropose
+    PREPARE_MESSAGE = PgPrepare
     COMMIT_MESSAGE = PgCommit
     VIEW_CHANGE_MESSAGE = PgViewChange
 

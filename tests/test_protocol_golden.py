@@ -11,6 +11,14 @@ Each record carries the overrides it was run with in ``params``, so
 the scenario is rebuilt from the record itself.  A refactor of the
 replica code must reproduce every record byte for byte; a deliberate
 behaviour change regenerates the file in its own change.
+
+``benchmarks/golden_gene_records.json`` pins the deviating-strategy
+axis the catalog lacks: search-point scenarios whose rational coalition
+plays a :class:`~repro.search.space.StrategyGene` with ``timing_skew``
+(alone, and with equivocation) under all five protocols.  The skew
+draw is keyed on each broadcast's message type name, so these records
+also pin the replicas' message class names.  Each entry stores its
+full scenario, since search points are not in the catalog.
 """
 
 import json
@@ -18,13 +26,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.registry import get_scenario
+from repro.experiments.registry import Scenario, get_scenario
 from repro.experiments.results import RunRecord
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parent.parent / "benchmarks" / "golden_protocol_records.json"
 )
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+GENE_GOLDEN = json.loads((GOLDEN_PATH.parent / "golden_gene_records.json").read_text())
 
 #: Tier-1 subset: the honest matrix, a fork, loss, a crashed leader
 #: and duplication, under each non-pRFT protocol.
@@ -60,3 +69,22 @@ def test_protocol_golden_subset_byte_identical(key):
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_protocol_golden_all_byte_identical(key):
     _assert_golden(key)
+
+
+def test_gene_golden_covers_all_protocols_with_skew():
+    for label in ("skew", "skew-fork"):
+        protocols = {key.split("/")[1] for key in GENE_GOLDEN if key.startswith(f"{label}/")}
+        assert protocols == {"prft", "pbft", "polygraph", "trap", "hotstuff"}
+    for entry in GENE_GOLDEN.values():
+        assert dict(entry["scenario"]["gene"])["timing_skew"] > 0.0
+
+
+@pytest.mark.parametrize("key", sorted(GENE_GOLDEN))
+def test_gene_golden_byte_identical(key):
+    entry = GENE_GOLDEN[key]
+    scenario = Scenario.from_dict(entry["scenario"])
+    result = scenario.run(seed=entry["seed"])
+    record = RunRecord.from_result(scenario, seed=entry["seed"], result=result)
+    assert json.dumps(record.canonical(), sort_keys=True) == json.dumps(
+        entry["record"], sort_keys=True
+    ), f"{key} diverged from its golden record"
