@@ -1,11 +1,13 @@
-"""Byte-identity gate for the pBFT, Polygraph, TRAP and HotStuff replicas.
+"""Byte-identity gate for every protocol beyond the pRFT catalog records.
 
-``benchmarks/golden_records.json`` pins only pRFT runs.  This gate pins
-the other four protocols: ``benchmarks/golden_protocol_records.json``
-holds the canonical :class:`RunRecord` of every catalog scenario at
-seed 0 under each of pbft, polygraph, trap and hotstuff, plus three
-production/crypto variants under all five protocols (pipelined
-batching, aggregate certificates under loss, pipelined crash churn).
+``benchmarks/golden_records.json`` pins only the pRFT catalog runs of
+the paper's scenarios.  ``benchmarks/golden_protocol_records.json``
+pins the rest: the canonical :class:`RunRecord` of every catalog
+scenario at seed 0 under each of pbft, polygraph, trap and hotstuff,
+the pRFT runs of the catalog scenarios ``golden_records.json`` leaves
+out, plus three production/crypto variants under all five protocols
+(pipelined batching, aggregate certificates under loss, pipelined
+crash churn).
 
 Each record carries the overrides it was run with in ``params``, so
 the scenario is rebuilt from the record itself.  A refactor of the
@@ -41,6 +43,17 @@ FAST_SCENARIOS = ("protocol-matrix", "fork", "lossy-honest", "crash-leader", "du
 FAST_PROTOCOLS = ("pbft", "polygraph", "trap", "hotstuff")
 FAST_KEYS = [f"{name}/{protocol}" for protocol in FAST_PROTOCOLS for name in FAST_SCENARIOS]
 
+#: pRFT catalog runs that ``golden_records.json`` does not pin: the
+#: regional, lossy, crash, churn, duplication and continuous-workload
+#: scenarios.  All in tier-1; the continuous ones carry a throughput
+#: report, so they also pin the throughput pipeline.
+PRFT_SCENARIOS = (
+    "regional-honest", "lossy-honest", "lossy-prft-fork", "crash-leader",
+    "churn-liveness", "duplicate-storm", "poisson-honest", "closed-loop-prft",
+    "burst-under-loss", "poisson-crash-churn",
+)
+PRFT_KEYS = [f"{name}/prft" for name in PRFT_SCENARIOS]
+
 
 def _assert_golden(key: str) -> None:
     expected = GOLDEN[key]
@@ -56,11 +69,12 @@ def _assert_golden(key: str) -> None:
 def test_golden_file_covers_matrix_and_variants():
     protocols = {record["protocol"] for record in GOLDEN.values()}
     assert protocols == {"prft", "pbft", "polygraph", "trap", "hotstuff"}
-    assert len(GOLDEN) == 107
+    assert len(GOLDEN) == 117
     assert set(FAST_KEYS) <= set(GOLDEN)
+    assert set(PRFT_KEYS) <= set(GOLDEN)
 
 
-@pytest.mark.parametrize("key", FAST_KEYS)
+@pytest.mark.parametrize("key", FAST_KEYS + PRFT_KEYS)
 def test_protocol_golden_subset_byte_identical(key):
     _assert_golden(key)
 
