@@ -1,6 +1,6 @@
 # Developer / CI entry points.  `make check` is the gate: tier-1 tests
-# plus a smoke sweep through the CLI/parallel engine and the trace
-# oracle over the full scenario catalog.
+# plus a smoke sweep through the CLI/parallel engine, the trace oracle
+# over the full scenario catalog and every example script.
 
 PYTHON ?= python
 PYTHONPATH := src
@@ -8,7 +8,7 @@ export PYTHONPATH
 
 .PHONY: check test smoke catalog-check report-smoke fuzz-smoke search-smoke bench bench-smoke bench-scaling bench-network bench-throughput bench-big-committees bench-pipelining bench-soak soak-smoke pipelining-smoke large-n-smoke example clean
 
-check: test smoke catalog-check report-smoke search-smoke
+check: test smoke catalog-check report-smoke search-smoke example
 	@echo "check: OK"
 
 test:
@@ -152,8 +152,13 @@ large-n-smoke:
 	$(PYTHON) -m repro.cli run honest --protocol polygraph -n 64 --rounds 1 --aggregate-certs --check
 	$(PYTHON) -m repro.cli run honest --protocol trap -n 64 --rounds 1 --aggregate-certs --check
 
+# Every example script end to end (a few seconds in all), so removing
+# or renaming a public name cannot silently break one.
 example:
-	$(PYTHON) examples/sweep_quickstart.py
+	@for script in examples/*.py; do \
+		echo "example: $$script"; \
+		$(PYTHON) $$script > /dev/null || exit 1; \
+	done
 
 clean:
 	rm -rf .pytest_cache .benchmarks

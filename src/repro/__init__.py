@@ -19,8 +19,8 @@ Quickstart::
     print(result.system_state())          # SystemState.HONEST
     print(result.final_block_count())     # 3
 
-(The old flat-kwargs ``run_consensus`` survives as a deprecated shim
-over exactly this spec.)
+``RunSpec`` is the one way to describe a run; ``spec.derive(...)``
+flips any knob of an existing spec.
 
 Scenario sweeps (grids of committee sizes, attacks, synchrony models,
 seeds) run through the experiment-orchestration layer::
@@ -75,7 +75,6 @@ from repro.protocols.runner import (
     WorkloadSpec,
     make_transactions,
     run,
-    run_consensus,
 )
 from repro.checks import OracleReport, run_oracle
 from repro.experiments import (
@@ -145,7 +144,6 @@ __all__ = [
     "rational_player",
     "register_scenario",
     "run",
-    "run_consensus",
     "run_fuzz",
     "run_oracle",
     "run_sweep",

@@ -9,10 +9,11 @@
 - :mod:`~repro.protocols.spec` — the composable typed run
   specifications (:class:`~repro.protocols.spec.RunSpec` and its
   network / crypto / fault / workload sub-specs);
-- :mod:`~repro.protocols.runner` — executes a ``RunSpec``: builds a
-  full simulated :class:`~repro.protocols.runner.Deployment` (engine,
-  network, PKI, collateral, replicas, client workload) and runs it to
-  a :class:`~repro.protocols.runner.RunResult`;
+- :mod:`~repro.protocols.runner` — executes a ``RunSpec``, the one
+  way to run: builds a full simulated
+  :class:`~repro.protocols.runner.Deployment` (engine, network, PKI,
+  collateral, replicas, client workload) and runs it to a
+  :class:`~repro.protocols.runner.RunResult`;
 - :mod:`~repro.protocols.pbft` — pBFT (Castro-Liskov) baseline;
 - :mod:`~repro.protocols.hotstuff` — HotStuff-style linear baseline;
 - :mod:`~repro.protocols.polygraph` — Polygraph-style accountable BFT;
@@ -33,7 +34,6 @@ from repro.protocols.runner import (
     WorkloadSpec,
     build_context,
     run,
-    run_consensus,
 )
 
 __all__ = [
@@ -52,5 +52,4 @@ __all__ = [
     "WorkloadSpec",
     "build_context",
     "run",
-    "run_consensus",
 ]

@@ -122,8 +122,9 @@ class ProtocolContext:
     honest roster by the deployment) for throughput metrics and
     closed-loop clients; ``workload`` is the installed client arrival
     process, consulted by the continuous round loop's quiesce rule
-    (``None`` outside a :class:`~repro.protocols.runner.Deployment`,
-    e.g. in unit tests that assemble contexts by hand).
+    (``None`` until a :class:`~repro.protocols.runner.Deployment`
+    installs one, e.g. in unit tests that only call
+    :func:`~repro.protocols.runner.build_context`).
     """
 
     engine: SimulationEngine
@@ -131,15 +132,15 @@ class ProtocolContext:
     timers: TimerService
     registry: KeyRegistry
     collateral: CollateralRegistry
+    # Block-production axis (a ProductionSpec; typed Any because the
+    # spec module imports this one): slot pipelining depth, per-block
+    # transaction cap and client-side coalescing.
+    production: Any
     commit_log: CommitLog = field(default_factory=CommitLog)
     workload: Optional[Any] = None
     # Wire-format axis: quorum justifications travel as AggregateQC
     # bitmaps instead of full statement sets (CryptoSpec.aggregate_certs).
     aggregate_certs: bool = False
-    # Block-production axis (ProductionSpec): slot pipelining depth,
-    # per-block transaction cap and client-side coalescing.  ``None``
-    # (hand-built contexts) behaves like the all-defaults spec.
-    production: Optional[Any] = None
     # Bounded-memory axis (RetentionSpec): trace/commit/ledger windows
     # for soak-length runs.  ``None`` keeps every structure unbounded.
     retention: Optional[Any] = None
@@ -376,16 +377,12 @@ class BaseReplica(ABC):
         self._flushing_deferred = False
 
     def pipeline_depth(self) -> int:
-        production = self.ctx.production
-        return production.pipeline_depth if production is not None else 1
+        return self.ctx.production.pipeline_depth
 
     def block_tx_limit(self) -> int:
         """Per-block transaction cap: ProductionSpec override or the
         legacy ``config.block_size``."""
-        production = self.ctx.production
-        if production is None or production.max_block_txs is None:
-            return self.config.block_size
-        return production.max_block_txs
+        return self.ctx.production.block_tx_limit(self.config)
 
     def dispatch_horizon(self) -> int:
         """Highest round whose traffic dispatches immediately.

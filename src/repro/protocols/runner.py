@@ -2,40 +2,36 @@
 
 The runner executes a :class:`~repro.protocols.spec.RunSpec` — the
 composable, typed description of one deployment (protocol triple plus
-network / crypto / fault / workload specs).  :class:`Deployment`
-assembles engine + network + PKI + collateral + client workload from
-the spec, starts every replica, drives the event loop and returns a
-:class:`RunResult` with everything the analysis layer needs (honest
-chains, trace, metrics, collateral, throughput, realised states)::
+network / crypto / fault / workload specs) — in exactly one way.
+:class:`Deployment` assembles engine + network + PKI + collateral
+(:func:`build_context`) and the client workload from the spec, starts
+every replica, drives the event loop and returns a :class:`RunResult`
+with everything the analysis layer needs (honest chains, trace,
+metrics, collateral, throughput, realised states)::
 
     result = run(RunSpec(factory=prft_factory, players=..., config=...))
 
-The historical entry point :func:`run_consensus` survives as a thin
-compatibility shim that folds its flat keyword arguments into a
-``RunSpec``; tests, examples and benchmarks written against it behave
-identically.
+Continuous runs (a configured duration or a continuous workload)
+measure throughput one way too: a streaming
+:class:`~repro.sim.streaming.ThroughputAccumulator` observes every
+submission and first commit as it happens.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from repro.agents.player import Player, Role
-from repro.crypto.backends import DEFAULT_BACKEND
-from repro.crypto.registry import DEFAULT_VERIFY_CACHE_SIZE, KeyRegistry
+from repro.crypto.registry import KeyRegistry
 from repro.gametheory.payoff import PlayerType, payoff
 from repro.gametheory.states import SystemState, classify_state
 from repro.ledger.chain import Chain
 from repro.ledger.collateral import CollateralRegistry
-from repro.ledger.transaction import Transaction
-from repro.net.delays import DelayModel, FixedDelay
+from repro.net.delays import FixedDelay
 from repro.net.faults import LinkPipeline
 from repro.net.network import Network
-from repro.net.partition import PartitionSchedule
 from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext
-from repro.protocols.lifecycle import CrashSchedule
 from repro.protocols.spec import (
     CryptoSpec,
     FaultSpec,
@@ -51,7 +47,6 @@ from repro.sim.metrics import (
     CommitLog,
     MetricsCollector,
     ThroughputReport,
-    build_throughput_report,
     report_from_accumulator,
 )
 from repro.sim.streaming import ThroughputAccumulator
@@ -73,46 +68,33 @@ __all__ = [
     "build_context",
     "make_transactions",
     "run",
-    "run_consensus",
 ]
 
 
-def build_context(
-    config: ProtocolConfig,
-    player_ids: Iterable[int],
-    delay_model: Optional[DelayModel] = None,
-    partitions: Optional[PartitionSchedule] = None,
-    seed: str = "default",
-    crypto_backend: str = DEFAULT_BACKEND,
-    crypto_cache_size: int = DEFAULT_VERIFY_CACHE_SIZE,
-    loss_rate: float = 0.0,
-    duplicate_rate: float = 0.0,
-    reorder_jitter: float = 0.0,
-    aggregate_certs: bool = False,
-    production: Optional[ProductionSpec] = None,
-    retention: Optional[RetentionSpec] = None,
-) -> ProtocolContext:
-    """Assemble engine, network, PKI and collateral for a deployment.
+def build_context(spec: RunSpec) -> ProtocolContext:
+    """Assemble engine, network, PKI and collateral for ``spec``.
 
-    The fault knobs build the network's link-layer pipeline
+    The network spec's fault knobs build the link-layer pipeline
     (delay → partition → drop → duplication → reorder-jitter); each
-    stochastic stage is seeded from ``seed``, so faults replay
-    identically for the same (scenario, seed) pair.
+    stochastic stage is seeded from ``spec.seed``, so faults replay
+    identically for the same (scenario, seed) pair.  The retention
+    spec sizes the trace recorder's per-kind ring buffers and the
+    commit log's dedup window (all-``None`` keeps both unbounded).
 
-    ``retention`` (the bounded-memory soak path) sizes the trace
-    recorder's per-kind ring buffers and the commit log's dedup
-    window; ``None`` or the all-defaults spec keeps both unbounded.
+    A module function rather than part of :class:`Deployment` so unit
+    tests can build a context without replicas.
     """
+    config, network_spec, crypto = spec.config, spec.network, spec.crypto
+    retention = spec.retention
     engine = SimulationEngine()
     pipeline = LinkPipeline.build(
-        delay_model=delay_model or FixedDelay(1.0),
-        partitions=partitions,
-        loss_rate=loss_rate,
-        duplicate_rate=duplicate_rate,
-        reorder_jitter=reorder_jitter,
-        seed=seed,
+        delay_model=network_spec.delay_model or FixedDelay(1.0),
+        partitions=network_spec.partitions,
+        loss_rate=network_spec.loss_rate,
+        duplicate_rate=network_spec.duplicate_rate,
+        reorder_jitter=network_spec.reorder_jitter,
+        seed=spec.seed,
     )
-    retention = retention or RetentionSpec()
     network = Network(
         engine,
         pipeline=pipeline,
@@ -120,13 +102,13 @@ def build_context(
         trace=TraceRecorder(window=retention.trace_window),
     )
     registry = KeyRegistry.trusted_setup(
-        player_ids,
-        seed=seed,
-        backend=crypto_backend,
-        verify_cache_size=crypto_cache_size,
+        spec.player_ids,
+        seed=spec.seed,
+        backend=crypto.backend,
+        verify_cache_size=crypto.cache_size,
     )
     collateral = CollateralRegistry(deposit=config.deposit)
-    collateral.enroll_all(player_ids)
+    collateral.enroll_all(spec.player_ids)
     return ProtocolContext(
         engine=engine,
         network=network,
@@ -134,8 +116,8 @@ def build_context(
         registry=registry,
         collateral=collateral,
         commit_log=CommitLog(window=retention.commit_window),
-        aggregate_certs=aggregate_certs,
-        production=production or ProductionSpec(),
+        aggregate_certs=crypto.aggregate_certs,
+        production=spec.production,
         retention=retention if retention.active else None,
     )
 
@@ -226,8 +208,8 @@ class RunResult:
         final-block bodies stripped from some replica's ledger.  Oracle
         checkers that replay the full history refuse (skip) on such
         runs rather than pass vacuously."""
-        workload = getattr(self.ctx, "workload", None)
-        if workload is not None and getattr(workload, "submissions_truncated", False):
+        workload = self.ctx.workload
+        if workload is not None and workload.submissions_truncated:
             return True
         if self.ctx.commit_log.truncated:
             return True
@@ -249,21 +231,7 @@ class Deployment:
     def __init__(self, spec: RunSpec) -> None:
         self.spec = spec
         config = spec.config
-        self.ctx = build_context(
-            config,
-            spec.player_ids,
-            delay_model=spec.network.delay_model,
-            partitions=spec.network.partitions,
-            seed=spec.seed,
-            crypto_backend=spec.crypto.backend,
-            crypto_cache_size=spec.crypto.cache_size,
-            aggregate_certs=spec.crypto.aggregate_certs,
-            loss_rate=spec.network.loss_rate,
-            duplicate_rate=spec.network.duplicate_rate,
-            reorder_jitter=spec.network.reorder_jitter,
-            production=spec.production,
-            retention=spec.retention,
-        )
+        self.ctx = build_context(spec)
         # Client-visible commits are what honest replicas finalise; a
         # deviator's lone fork block never counts.
         self.ctx.commit_log.restrict_to(
@@ -283,21 +251,19 @@ class Deployment:
             config, seed=spec.seed, production=spec.production
         )
         self.ctx.workload = self.workload
-        self.workload.install(self.ctx, self.replicas)
-        # Bounded-memory soak path: any retention window switches the
-        # throughput pipeline to the streaming accumulator — it observes
-        # every submission and first commit as they happen, keeping only
-        # the in-flight map and O(1) sketches instead of the full
-        # submission schedule joined against the commit log at the end.
+        # Continuous runs stream every submission and first commit into
+        # the accumulator as they happen: it keeps only the in-flight map
+        # and O(1) sketches.  Wired before install, so install-time
+        # submissions reach it and its commit listener fires ahead of
+        # the closed-loop client's top-up.
         self.accumulator: Optional[ThroughputAccumulator] = None
-        if spec.retention.active and (
-            config.duration is not None or spec.workload.continuous
-        ):
+        if config.duration is not None or spec.workload.continuous:
             self.accumulator = ThroughputAccumulator(
                 resolution=spec.retention.backlog_resolution
             )
             self.workload.attach_accumulator(self.accumulator)
             self.ctx.commit_log.subscribe(self.accumulator.note_commit)
+        self.workload.install(self.ctx, self.replicas)
         if spec.retention.submission_window is not None:
             self.workload.bound_submissions(spec.retention.submission_window)
         self._executed = False
@@ -317,29 +283,23 @@ class Deployment:
             ctx=self.ctx,
             submitted_tx_ids=self.workload.submitted_ids(),
         )
-        if self.spec.config.duration is not None or self.spec.workload.continuous:
-            result.throughput = self._throughput_report(result)
+        if self.accumulator is not None:
+            result.throughput = self._throughput_report(result, self.accumulator)
         return result
 
-    def _throughput_report(self, result: RunResult) -> ThroughputReport:
+    def _throughput_report(
+        self, result: RunResult, accumulator: ThroughputAccumulator
+    ) -> ThroughputReport:
         # Rates normalise over the configured duration, clipped to the
         # time the run last did anything (a quiesced run ends earlier;
         # engine.now is useless here — run() advances it to max_time).
         duration = self.spec.config.duration
         quiesced = self.ctx.engine.last_event_time
         horizon = quiesced if duration is None else min(duration, quiesced)
-        if self.accumulator is not None:
-            return report_from_accumulator(
-                self.accumulator,
-                blocks=result.final_block_count(),
-                horizon=max(horizon, 1e-9),
-            )
-        return build_throughput_report(
-            self.workload.submissions(),
-            self.ctx.commit_log.commit_times(),
+        return report_from_accumulator(
+            accumulator,
             blocks=result.final_block_count(),
             horizon=max(horizon, 1e-9),
-            resolution=self.spec.retention.backlog_resolution,
         )
 
 
@@ -347,63 +307,3 @@ def run(spec: RunSpec) -> RunResult:
     """Execute one :class:`RunSpec` end to end."""
     return Deployment(spec).execute()
 
-
-def run_consensus(
-    factory: ReplicaFactory,
-    players: Sequence[Player],
-    config: ProtocolConfig,
-    delay_model: Optional[DelayModel] = None,
-    partitions: Optional[PartitionSchedule] = None,
-    transactions: Optional[Sequence[Transaction]] = None,
-    max_time: float = 10_000.0,
-    max_events: int = 2_000_000,
-    seed: str = "default",
-    crypto_backend: str = DEFAULT_BACKEND,
-    crypto_cache_size: int = DEFAULT_VERIFY_CACHE_SIZE,
-    loss_rate: float = 0.0,
-    duplicate_rate: float = 0.0,
-    reorder_jitter: float = 0.0,
-    crash_schedule: Optional[CrashSchedule] = None,
-    aggregate_certs: bool = False,
-) -> RunResult:
-    """Compatibility shim: the historical flat-kwargs entry point.
-
-    Folds its arguments into a :class:`RunSpec` (a static-batch
-    workload with the historical default of
-    ``2 · block_size · max_rounds`` generated transactions) and
-    executes it.  New code should build a ``RunSpec`` directly — this
-    shim now says so out loud with a :class:`DeprecationWarning`
-    (results stay byte-identical; only the warning is new).
-    """
-    warnings.warn(
-        "run_consensus is a compatibility shim: build a RunSpec and call "
-        "run(spec) (or spec.derive(...) an existing one) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = RunSpec(
-        factory=factory,
-        players=tuple(players),
-        config=config,
-        network=NetworkSpec(
-            delay_model=delay_model,
-            partitions=partitions,
-            loss_rate=loss_rate,
-            duplicate_rate=duplicate_rate,
-            reorder_jitter=reorder_jitter,
-        ),
-        crypto=CryptoSpec(
-            backend=crypto_backend,
-            cache_size=crypto_cache_size,
-            aggregate_certs=aggregate_certs,
-        ),
-        faults=FaultSpec(crash_schedule=crash_schedule),
-        workload=WorkloadSpec(
-            kind="static",
-            transactions=tuple(transactions) if transactions is not None else None,
-        ),
-        seed=seed,
-        max_time=max_time,
-        max_events=max_events,
-    )
-    return run(spec)

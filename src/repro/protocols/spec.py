@@ -1,10 +1,10 @@
 """Composable, typed run specifications.
 
-``run_consensus`` accreted fifteen flat keyword arguments across the
-crypto, link-fault, crash and oracle subsystems; this module collapses
-them into small frozen spec dataclasses, grouped by subsystem, that
-compose into one :class:`RunSpec` — the single value a
-:class:`~repro.protocols.runner.Deployment` executes::
+Small frozen spec dataclasses, one per subsystem (network, crypto,
+faults, workload, block production, retention), compose into one
+:class:`RunSpec` — the single value a
+:class:`~repro.protocols.runner.Deployment` executes, and the only way
+to describe a run::
 
     spec = RunSpec(
         factory=prft_factory,
@@ -16,10 +16,10 @@ compose into one :class:`RunSpec` — the single value a
     )
     result = run(spec)
 
-Every spec is a plain frozen dataclass with defaults equal to the
-legacy behaviour, so ``RunSpec(factory, players, config)`` is exactly
-the old ``run_consensus(factory, players, config)`` — and the old
-callable survives as a thin shim that builds one of these.
+Every spec is a plain frozen dataclass whose defaults are the paper's
+baseline, so the minimal ``RunSpec(factory, players, config)`` runs a
+static batch of ``2 · block_size · max_rounds`` transactions over
+reliable unit-delay links.
 """
 
 from __future__ import annotations
@@ -277,8 +277,9 @@ class RetentionSpec:
     - ``backlog_resolution`` — cap on retained backlog-series points
       (windowed downsampling; peak stays exact).
 
-    Any window set also switches the deployment's throughput pipeline
-    to the streaming accumulator (O(backlog) instead of O(submitted)).
+    Every continuous run streams its throughput through the
+    accumulator (O(backlog) memory, not O(submitted)) whatever the
+    windows, so a window that evicts nothing leaves the report unchanged.
     """
 
     trace_window: Optional[int] = None
@@ -320,8 +321,8 @@ class RunSpec:
 
     The three required fields are the protocol triple (factory, roster,
     config); each optional subsystem spec defaults to the paper's
-    baseline, so the minimal ``RunSpec(factory, players, config)``
-    reproduces the legacy ``run_consensus`` call byte for byte.
+    baseline, so the minimal ``RunSpec(factory, players, config)`` is
+    the paper's fault-free static-batch run.
     """
 
     factory: ReplicaFactory

@@ -8,11 +8,11 @@ replays the identical arrival sequence, whatever the worker count.
 
 Submissions are broadcast to every replica's mempool (clients gossip to
 the whole committee, the model under which Definition 1's censorship
-clause — "input to all honest players" — is stated).  The workload
-records each submission's time, and the deployment's
-:class:`~repro.sim.metrics.CommitLog` records each transaction's first
-honest finalisation, which together yield the run's
-:class:`~repro.sim.metrics.ThroughputReport`.
+clause — "input to all honest players" — is stated).  On continuous
+runs the workload streams each submission, and the deployment's
+:class:`~repro.sim.metrics.CommitLog` each transaction's first honest
+finalisation, into a :class:`~repro.sim.streaming.ThroughputAccumulator`,
+which yields the run's :class:`~repro.sim.metrics.ThroughputReport`.
 
 The round loop consults :meth:`Workload.finished` for the *quiesce*
 half of the continuous stop rule: a replica on a duration-driven run
@@ -59,8 +59,9 @@ class Workload(ABC):
     # ------------------------------------------------------------------
     def attach_accumulator(self, accumulator: Any) -> None:
         """Stream every submission into ``accumulator.note_submit`` —
-        the deployment wires this when any retention window is set, so
-        throughput no longer needs the full submission record."""
+        the deployment wires this on every continuous run, before
+        :meth:`install`, so throughput never needs the full submission
+        record."""
         self._accumulator = accumulator
 
     def bound_submissions(self, window: int) -> None:

@@ -1,10 +1,10 @@
 """The legacy pre-loaded batch, as a workload.
 
-:class:`StaticBatch` reproduces the original ``run_consensus``
-semantics exactly: the whole batch lands in every replica's mempool at
-install time (virtual time 0), before any replica starts, and no engine
-events are scheduled — which is what keeps default runs byte-identical
-to the pre-workload simulator.
+:class:`StaticBatch` is the default workload of a minimal ``RunSpec``:
+the whole batch lands in every replica's mempool at install time
+(virtual time 0), before any replica starts, and no engine events are
+scheduled — which is what keeps default runs byte-identical to the
+pre-workload simulator.
 
 Combined with a configured ``duration`` it also serves as a finite
 continuous workload: replicas keep opening slots until the batch is

@@ -1,6 +1,6 @@
 """Shared fixtures and run helpers for protocol-level tests."""
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import pytest
 
@@ -18,6 +18,8 @@ from repro.net.delays import DelayModel, FixedDelay
 from repro.net.partition import PartitionSchedule
 from repro.protocols.base import ProtocolConfig
 from repro.protocols.runner import NetworkSpec, RunResult, RunSpec, run
+from repro.sim.metrics import ThroughputReport, report_from_accumulator
+from repro.sim.streaming import ThroughputAccumulator
 
 
 def pytest_collection_modifyitems(config, items):
@@ -66,6 +68,29 @@ def run_prft(
         network=NetworkSpec(delay_model=delay or FixedDelay(1.0), partitions=partitions),
         max_time=max_time,
     ))
+
+
+def streamed_report(
+    submissions: Sequence[Tuple[str, float]],
+    commit_times: Mapping[str, float],
+    blocks: int,
+    horizon: float,
+    **accumulator_args,
+) -> ThroughputReport:
+    """Drive a :class:`ThroughputAccumulator` through a submission
+    schedule and first-commit times in engine order — by time, with a
+    submission *ahead of* a commit at the same instant, the order that
+    exercises the commit-before-submit tie rule — and project the report."""
+    accumulator = ThroughputAccumulator(**accumulator_args)
+    events = [(when, 0, tx_id) for tx_id, when in submissions]
+    events += [(when, 1, tx_id) for tx_id, when in commit_times.items()]
+    events.sort(key=lambda event: event[:2])
+    for when, is_commit, tx_id in events:
+        if is_commit:
+            accumulator.note_commit(tx_id, when)
+        else:
+            accumulator.note_submit(tx_id, when)
+    return report_from_accumulator(accumulator, blocks=blocks, horizon=horizon)
 
 
 def fork_collusion(players: List[Player]) -> Collusion:

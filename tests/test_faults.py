@@ -209,10 +209,14 @@ class TestReplicaLifecycle:
         from repro.agents.player import honest_player
         from repro.core.replica import prft_factory
         from repro.protocols.base import ProtocolConfig
-        from repro.protocols.runner import build_context
+        from repro.protocols.runner import RunSpec, build_context
 
         config = ProtocolConfig.for_prft(n=4, max_rounds=2, timeout=10.0)
-        ctx = build_context(config, range(4))
+        ctx = build_context(RunSpec(
+            factory=prft_factory,
+            players=tuple(honest_player(i) for i in range(4)),
+            config=config,
+        ))
         replicas = {
             i: prft_factory(honest_player(i), config, ctx) for i in range(4)
         }

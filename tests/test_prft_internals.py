@@ -21,14 +21,19 @@ from repro.gametheory.states import SystemState
 from repro.ledger.block import Block
 from repro.net.delays import FixedDelay
 from repro.protocols.base import ProtocolConfig
-from repro.protocols.runner import build_context, run_consensus
+from repro.protocols.runner import NetworkSpec, RunSpec, build_context
 
 from tests.conftest import roster, run_prft
 
 
 def _deployment(n=4, **overrides):
     config = ProtocolConfig.for_prft(n=n, **overrides)
-    ctx = build_context(config, range(n), delay_model=FixedDelay(1.0))
+    ctx = build_context(RunSpec(
+        factory=prft_factory,
+        players=tuple(honest_player(i) for i in range(n)),
+        config=config,
+        network=NetworkSpec(delay_model=FixedDelay(1.0)),
+    ))
     replicas = {i: PRFTReplica(honest_player(i), config, ctx) for i in range(n)}
     return config, ctx, replicas
 
@@ -189,7 +194,11 @@ class TestLeaderRotation:
 
     def test_factory_returns_registered_replica(self):
         config = ProtocolConfig.for_prft(n=3, max_rounds=1)
-        ctx = build_context(config, range(3))
+        ctx = build_context(RunSpec(
+            factory=prft_factory,
+            players=tuple(honest_player(i) for i in range(3)),
+            config=config,
+        ))
         replica = prft_factory(honest_player(0), config, ctx)
         assert isinstance(replica, PRFTReplica)
         assert list(ctx.network.participants()) == [0]

@@ -244,6 +244,20 @@ class TestRetentionEndToEnd:
         # And the bounded structures actually engaged.
         assert retained.throughput.final_backlog == unbounded.throughput.final_backlog
 
+    @pytest.mark.parametrize("protocol", ["prft", "pbft", "polygraph", "trap", "hotstuff"])
+    @pytest.mark.parametrize("name", ["closed-loop-prft", "burst-under-loss"])
+    def test_window_that_evicts_nothing_leaves_report_unchanged(self, name, protocol):
+        """A commit window far above the run's size evicts nothing, so
+        the whole report must equal the unwindowed run's: the closed
+        loop's install-time window must be counted, and the peak must
+        follow the commit-before-submit tie rule (no same-instant
+        transients)."""
+        base = get_scenario(name).with_params(protocol=protocol)
+        unbounded = base.run(seed=0)
+        windowed = base.with_params(commit_window=10_000).run(seed=0)
+        assert not windowed.history_truncated
+        assert windowed.throughput == unbounded.throughput
+
     def test_round_state_pruning_preserves_agreement(self):
         """ledger_window also prunes per-round protocol state; honest
         chains must still agree block for block."""

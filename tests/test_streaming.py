@@ -3,10 +3,11 @@
 Covers the P² quantile estimator against exact percentiles on
 adversarial input orderings, the LatencySketch's exact-phase
 byte-compatibility with the historical sorted-list path, the bounded
-BacklogSeries (exact peak/final under downsampling), the
-ThroughputAccumulator, the resolution cap on build_throughput_report,
-the RunRecord series cap, and a differential gate over a tier-1
-catalog run: reported percentiles match an exact recomputation.
+BacklogSeries (exact peak/final under downsampling, instant-end
+peak), the ThroughputAccumulator, the report's resolution cap, the
+RunRecord series cap, and a differential gate over every continuous
+catalog scenario under all five protocols: the report matches an
+exact recomputation from the run's own submissions and commits.
 """
 
 import bisect
@@ -14,8 +15,8 @@ import random
 
 import pytest
 
-from repro.experiments import get_scenario
-from repro.sim.metrics import ThroughputReport, build_throughput_report
+from repro.experiments import get_scenario, scenario_catalog
+from repro.sim.metrics import ThroughputReport
 from repro.sim.streaming import (
     BacklogSeries,
     LatencySketch,
@@ -23,6 +24,33 @@ from repro.sim.streaming import (
     ThroughputAccumulator,
     percentile_of_sorted,
 )
+from tests.conftest import streamed_report
+
+PROTOCOLS = ("prft", "pbft", "polygraph", "trap", "hotstuff")
+CONTINUOUS_SCENARIOS = sorted(
+    name for name, scenario in scenario_catalog().items() if scenario.duration is not None
+)
+
+
+def exact_walk(submissions, commit_times):
+    """The reference recomputation: every latency sorted, and the
+    backlog walked edge by edge with a same-instant commit resolved
+    before a submission (the tie rule).  Returns
+    ``(latencies, peak, final, series)``."""
+    latencies = sorted(
+        commit_times[tx_id] - when for tx_id, when in submissions if tx_id in commit_times
+    )
+    edges = [(when, 1, +1) for _, when in submissions]
+    edges += [(commit_times[tx_id], 0, -1) for tx_id, _ in submissions if tx_id in commit_times]
+    backlog, series = 0, []
+    for when, _, delta in sorted(edges):
+        backlog += delta
+        if series and series[-1][0] == when:
+            series[-1] = (when, backlog)
+        else:
+            series.append((when, backlog))
+    peak = max((value for _, value in series), default=0)
+    return latencies, peak, backlog, tuple(series)
 
 
 def rank_of(ordered, value):
@@ -150,6 +178,15 @@ class TestBacklogSeries:
         series.append(2.0, 1)
         assert series.points() == ((1.0, 2), (2.0, 1))
 
+    def test_peak_ignores_same_instant_transients(self):
+        series = BacklogSeries()
+        series.append(1.0, 1)
+        series.append(2.0, 2)  # a submission lands first ...
+        series.append(2.0, 1)  # ... then the same instant's commit
+        assert series.peak == 1
+        series.append(3.0, 2)
+        assert series.peak == 2
+
     def test_peak_and_final_survive_downsampling(self):
         series = BacklogSeries(resolution=8)
         rng = random.Random(3)
@@ -178,7 +215,7 @@ class TestBacklogSeries:
 
 
 class TestThroughputAccumulator:
-    def test_matches_batch_builder_on_same_schedule(self):
+    def test_matches_exact_walk_on_same_schedule(self):
         rng = random.Random(4)
         submissions = [(f"tx{i}", float(i)) for i in range(300)]
         commit_times = {
@@ -186,23 +223,17 @@ class TestThroughputAccumulator:
             for i in range(300)
             if i % 5  # every fifth submission never commits
         }
-        accumulator = ThroughputAccumulator(resolution=None)
-        events = [(when, "submit", tx) for tx, when in submissions]
-        events += [(when, "commit", tx) for tx, when in commit_times.items()]
-        for when, kind, tx in sorted(events):
-            if kind == "submit":
-                accumulator.note_submit(tx, when)
-            else:
-                accumulator.note_commit(tx, when)
-        batch = build_throughput_report(
-            submissions, commit_times, blocks=10, horizon=400.0
+        report = streamed_report(
+            submissions, commit_times, blocks=10, horizon=400.0, resolution=None
         )
-        assert accumulator.submitted == batch.submitted
-        assert accumulator.committed == batch.committed
-        assert accumulator.latency.mean == pytest.approx(batch.latency_mean)
-        assert accumulator.latency.percentile(99) == pytest.approx(batch.latency_p99)
-        assert accumulator.series.peak == batch.peak_backlog
-        assert accumulator.backlog == batch.final_backlog
+        latencies, peak, final, series = exact_walk(submissions, commit_times)
+        assert report.submitted == len(submissions)
+        assert report.committed == len(latencies)
+        assert report.latency_mean == pytest.approx(sum(latencies) / len(latencies))
+        assert report.latency_p99 == percentile_of_sorted(latencies, 99.0)
+        assert report.peak_backlog == peak
+        assert report.final_backlog == final
+        assert report.backlog_series == series
 
     def test_duplicate_and_unknown_notifications_ignored(self):
         accumulator = ThroughputAccumulator()
@@ -227,14 +258,14 @@ class TestReportCaps:
             backlog_series=tuple(points),
         )
 
-    def test_build_report_resolution_caps_series(self):
+    def test_report_resolution_caps_series(self):
         submissions = [(f"tx{i}", float(i)) for i in range(4_000)]
         commits = {tx: when + 1.0 for tx, when in submissions}
-        capped = build_throughput_report(
+        capped = streamed_report(
             submissions, commits, blocks=5, horizon=4_100.0, resolution=16
         )
-        legacy = build_throughput_report(
-            submissions, commits, blocks=5, horizon=4_100.0
+        legacy = streamed_report(
+            submissions, commits, blocks=5, horizon=4_100.0, resolution=None
         )
         assert len(capped.backlog_series) <= 2 * 16 + 1
         assert len(legacy.backlog_series) > len(capped.backlog_series)
@@ -263,44 +294,53 @@ class TestReportCaps:
 
 
 class TestDifferentialAgainstExact:
-    """A tier-1 catalog run's reported percentiles must match an exact
-    recomputation from the run's own submission/commit history."""
+    """Every continuous catalog run's report must match an exact
+    recomputation from the run's own submission and commit history."""
 
-    def _exact_latencies(self, result):
-        commit_times = dict(result.ctx.commit_log.commit_times())
-        submitted = dict(result.ctx.workload.submissions())
-        return sorted(
-            commit_times[tx] - submitted[tx]
-            for tx in commit_times
-            if tx in submitted
+    @staticmethod
+    def _history(result):
+        return (
+            list(result.ctx.workload.submissions()),
+            dict(result.ctx.commit_log.commit_times()),
         )
 
-    def test_catalog_run_percentiles_match_exact(self):
-        result = get_scenario("poisson-honest").run(seed=0)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("name", CONTINUOUS_SCENARIOS)
+    def test_catalog_run_report_matches_exact(self, name, protocol):
+        result = get_scenario(name).with_params(protocol=protocol).run(seed=0)
         report = result.throughput
-        ordered = self._exact_latencies(result)
-        assert ordered, "the scenario must commit transactions"
+        submissions, commit_times = self._history(result)
+        latencies, peak, final, series = exact_walk(submissions, commit_times)
+        assert report.submitted == len(submissions)
+        assert report.committed == len(latencies)
+        assert report.peak_backlog == peak
+        assert report.final_backlog == final
+        assert report.backlog_series == series
+        if not latencies:
+            assert report.latency_max == report.latency_p99 == 0.0
+            return
         # Committed count sits below the default exact_limit, so the
         # sketch is still in its exact phase: not within-1% — equal.
-        assert report.latency_p50 == percentile_of_sorted(ordered, 50.0)
-        assert report.latency_p99 == percentile_of_sorted(ordered, 99.0)
-        assert report.latency_p50 <= 1.01 * percentile_of_sorted(ordered, 50.0)
-        assert report.latency_p99 <= 1.01 * percentile_of_sorted(ordered, 99.0)
+        assert len(latencies) < LatencySketch.DEFAULT_EXACT_LIMIT
+        assert report.latency_p50 == percentile_of_sorted(latencies, 50.0)
+        assert report.latency_p99 == percentile_of_sorted(latencies, 99.0)
+        assert report.latency_max == latencies[-1]
+        assert report.latency_mean == pytest.approx(sum(latencies) / len(latencies))
 
     def test_forced_sketch_phase_stays_close_to_exact(self):
-        """Rebuild the same run's report with a tiny exact_limit so the
-        sketch phase engages; estimates must stay within a few percentile
-        ranks of exact even on this short stream."""
+        """Replay the same run's history through an accumulator with a
+        tiny exact_limit so the sketch phase engages; estimates must
+        stay within a few percentile ranks of exact even on this short
+        stream."""
         result = get_scenario("poisson-honest").run(seed=0)
-        commit_times = dict(result.ctx.commit_log.commit_times())
-        submissions = list(result.ctx.workload.submissions())
-        forced = build_throughput_report(
+        submissions, commit_times = self._history(result)
+        forced = streamed_report(
             submissions,
             commit_times,
             blocks=result.throughput.blocks,
             horizon=result.throughput.horizon,
             exact_limit=8,
         )
-        ordered = self._exact_latencies(result)
+        ordered, _, _, _ = exact_walk(submissions, commit_times)
         for q, estimate in ((50.0, forced.latency_p50), (99.0, forced.latency_p99)):
             assert abs(rank_of(ordered, estimate) - q) <= 7.5

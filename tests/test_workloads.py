@@ -1,7 +1,7 @@
 """Tests for the RunSpec/Deployment API and the workload subsystem.
 
 Covers repro.protocols.spec (the composable typed specs), the
-Deployment/run execution path and its run_consensus shim,
+Deployment/run execution path,
 repro.workloads (StaticBatch byte-identity, Poisson/closed/burst
 determinism and semantics), the continuous round loop
 (duration/quiesce), throughput metrics, the golden-record gate over
@@ -30,10 +30,9 @@ from repro.protocols.runner import (
     RunSpec,
     WorkloadSpec,
     run,
-    run_consensus,
 )
 from repro.sim.engine import SimulationEngine
-from repro.sim.metrics import CommitLog, ThroughputReport, build_throughput_report
+from repro.sim.metrics import CommitLog, ThroughputReport
 from repro.workloads import (
     WORKLOAD_KINDS,
     Burst,
@@ -42,6 +41,7 @@ from repro.workloads import (
     StaticBatch,
     make_transactions,
 )
+from tests.conftest import streamed_report
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "golden_records.json"
 
@@ -79,18 +79,6 @@ class TestRunResultTypeHints:
 # Spec validation and composition
 # ----------------------------------------------------------------------
 class TestSpecs:
-    def test_minimal_runspec_equals_legacy_shim(self):
-        config = ProtocolConfig.for_prft(n=5, max_rounds=2)
-        via_spec = run(RunSpec(factory=prft_factory, players=players_of(5), config=config))
-        with pytest.warns(DeprecationWarning, match="compatibility shim"):
-            via_shim = run_consensus(prft_factory, list(players_of(5)), config)
-        assert via_spec.submitted_tx_ids == via_shim.submitted_tx_ids
-        assert via_spec.final_block_count() == via_shim.final_block_count()
-        assert via_spec.metrics.total_messages == via_shim.metrics.total_messages
-        assert via_spec.metrics.total_bytes == via_shim.metrics.total_bytes
-        assert via_spec.ctx.engine.events_processed == via_shim.ctx.engine.events_processed
-        assert via_spec.throughput is None and via_shim.throughput is None
-
     def test_runspec_rejects_bad_roster(self):
         config = ProtocolConfig.for_prft(n=5)
         with pytest.raises(ValueError, match="ids 0..n-1"):
@@ -434,11 +422,11 @@ class TestLastEventTime:
 # ----------------------------------------------------------------------
 # Throughput-report arithmetic
 # ----------------------------------------------------------------------
-class TestBuildThroughputReport:
+class TestThroughputReport:
     def test_latency_and_backlog_walk(self):
         submissions = [("a", 0.0), ("b", 1.0), ("c", 2.0)]
         commits = {"a": 4.0, "b": 4.0}
-        report = build_throughput_report(submissions, commits, blocks=1, horizon=10.0)
+        report = streamed_report(submissions, commits, blocks=1, horizon=10.0)
         assert report.submitted == 3 and report.committed == 2
         assert report.latency_mean == pytest.approx(3.5)
         assert report.latency_max == pytest.approx(4.0)
@@ -448,11 +436,13 @@ class TestBuildThroughputReport:
 
     def test_commit_tie_resolves_before_submission(self):
         # A commit and an unrelated submission at the same instant must
-        # not inflate the peak (the closed-loop top-up pattern).
+        # not inflate the peak (the closed-loop top-up pattern), even
+        # when the engine runs the submission first.
         submissions = [("a", 0.0), ("b", 5.0)]
         commits = {"a": 5.0}
-        report = build_throughput_report(submissions, commits, blocks=1, horizon=10.0)
+        report = streamed_report(submissions, commits, blocks=1, horizon=10.0)
         assert report.peak_backlog == 1
+        assert report.backlog_series == ((0.0, 1), (5.0, 1))
 
     def test_commit_log_restricts_and_notifies(self):
         class Block:
