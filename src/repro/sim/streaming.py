@@ -1,4 +1,4 @@
-"""O(1)-memory streaming estimators for soak-length runs.
+"""O(1)-memory streaming estimators behind every throughput report.
 
 Every continuous run measures throughput here, and a ≥10⁶-transaction
 soak cannot afford O(events) state: a per-transaction latency list, the
