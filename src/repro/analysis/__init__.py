@@ -1,5 +1,8 @@
 """Checkers and reports: the paper's definitions, made executable.
 
+Each paper property has one evaluation here; the RunRecord verdicts
+and the trace oracle's Definition 1 and 6 checkers all read it.
+
 - :mod:`~repro.analysis.robustness` — Definition 1's (t,k)-robustness
   ((t,k)-validity, agreement, c-strict ordering, eventual liveness)
   and Definition 2/3's censorship resistance, evaluated over a

@@ -3,8 +3,9 @@
 A protocol is accountable if, whenever honest parties disagree (or
 more generally whenever deviation is penalised), there exists a
 Proof-of-Fraud π such that the verification algorithm V(π) outputs the
-deviating players — and V never outputs an honest player.  The checker
-cross-references three sources:
+deviating players — and V never outputs an honest player.  One
+evaluation, :func:`evaluate_accountability`, cross-references three
+sources, and both the analysis API and the trace oracle read it:
 
 1. the burns recorded in the collateral registry,
 2. the fraud proofs held by honest replicas' detectors,
@@ -51,22 +52,36 @@ class AccountabilityReport:
         return self.no_honest_framed and self.burns_backed_by_proofs and self.burns_hit_deviators
 
 
-def _deviator_ground_truth(result: RunResult) -> Set[int]:
-    """Players whose strategy signs conflicting statements (π_ds)."""
-    deviators = set()
-    for player in result.players:
-        if player.strategy.double_votes():
-            deviators.add(player.player_id)
-    return deviators
+def evaluate_accountability(result: RunResult) -> AccountabilityReport:
+    """Cross-check burns, proofs and ground truth for one run.
+
+    Gathers the proofs every honest detector holds and verifies each
+    distinct proof once.  Under a forgeable backend no proof binds, so
+    none is verified and nobody is provably guilty.
+    """
+    registry = result.ctx.registry
+    proofs: Dict[FraudProof, None] = {}
+    if registry.backend.unforgeable:
+        for pid in result.honest_ids:
+            detector = getattr(result.replicas[pid], "detector", None)
+            if detector is not None:
+                proofs.update(dict.fromkeys(detector.proofs().values()))
+    return AccountabilityReport(
+        burned=set(result.penalised_players()),
+        provably_guilty=verify_proofs(proofs, registry),
+        ground_truth_deviators={
+            player.player_id for player in result.players if player.strategy.double_votes()
+        },
+        honest_ids=set(result.honest_ids),
+    )
 
 
 def check_accountability(result: RunResult) -> AccountabilityReport:
-    """Cross-check burns, proofs and ground truth for one run.
+    """:func:`evaluate_accountability`, refusing forgeable backends.
 
-    Refuses runs signed with a forgeable backend: Definition 6's V(π)
-    is only convincing because nobody but the accused could have
-    produced the tags, so a ``fast-sim`` run has no binding proofs to
-    check (its "guilty" sets would be meaningless).
+    Definition 6's V(π) is only convincing because nobody but the
+    accused could have produced the tags, so a ``fast-sim`` run has no
+    binding proofs to check (its "guilty" sets would be meaningless).
     """
     registry = result.ctx.registry
     if not registry.backend.unforgeable:
@@ -75,17 +90,4 @@ def check_accountability(result: RunResult) -> AccountabilityReport:
             f"this run used {registry.backend.name!r} whose proofs are not binding "
             f"(re-run the scenario with crypto_backend='hmac-sha256')"
         )
-    provably_guilty: Set[int] = set()
-    for pid in result.honest_ids:
-        replica = result.replicas[pid]
-        detector = getattr(replica, "detector", None)
-        if detector is None:
-            continue
-        proofs: Dict[int, FraudProof] = detector.proofs()
-        provably_guilty |= verify_proofs(proofs.values(), registry)
-    return AccountabilityReport(
-        burned=set(result.penalised_players()),
-        provably_guilty=provably_guilty,
-        ground_truth_deviators=_deviator_ground_truth(result),
-        honest_ids=set(result.honest_ids),
-    )
+    return evaluate_accountability(result)

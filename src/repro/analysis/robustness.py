@@ -19,11 +19,10 @@ input to all honest players eventually confirm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ledger.chain import Chain
 from repro.ledger.validation import (
-    chains_agree,
     disagreement_heights,
     is_adversarial_marker,
     strict_ordering_holds,
@@ -33,17 +32,29 @@ from repro.protocols.runner import RunResult
 
 @dataclass
 class RobustnessReport:
-    """Verdicts per Definition-1 clause, plus diagnostics."""
+    """Verdicts per Definition-1 clause, plus diagnostics (the fork
+    heights and unsubmitted transactions are the clauses' evidence)."""
 
-    agreement: bool
     strict_ordering: bool
-    validity: bool
     eventual_liveness: bool
     censorship_resistance: Optional[bool]
     progressed: bool
     fork_heights: List[int]
+    #: (player, tx_id) for every transaction confirmed on an honest
+    #: ledger that no client submitted.
+    invalid_txs: List[Tuple[int, str]]
     max_final_height: int
     min_final_height: int
+
+    @property
+    def agreement(self) -> bool:
+        """(t,k)-agreement: no height holds conflicting final blocks."""
+        return not self.fork_heights
+
+    @property
+    def validity(self) -> bool:
+        """(t,k)-validity: every confirmed transaction was submitted."""
+        return not self.invalid_txs
 
     @property
     def robust(self) -> bool:
@@ -59,19 +70,19 @@ class RobustnessReport:
         return self.robust and self.censorship_resistance
 
 
-def _validity_holds(result: RunResult, chains: Dict[int, Chain]) -> bool:
-    """Every confirmed transaction was actually submitted by a client
-    (or is an adversarial marker, which must never confirm on an
-    honest chain under valid parameters — if it does, the fork-marker
-    block was adversarial; it still *was* proposed, so validity here
-    checks provenance, not safety)."""
+def _invalid_txs(result: RunResult, chains: Dict[int, Chain]) -> List[Tuple[int, str]]:
+    """Confirmed transactions no client submitted.  Adversarial
+    markers are exempt: a fork-marker block that confirms on an honest
+    chain was still *proposed*, so validity checks provenance, not
+    safety."""
     submitted = set(result.submitted_tx_ids)
-    for chain in chains.values():
-        for block in chain.final_blocks():
-            for tx in block.transactions:
-                if tx.tx_id not in submitted and not is_adversarial_marker(tx.tx_id):
-                    return False
-    return True
+    return [
+        (pid, tx.tx_id)
+        for pid, chain in chains.items()
+        for block in chain.final_blocks()
+        for tx in block.transactions
+        if tx.tx_id not in submitted and not is_adversarial_marker(tx.tx_id)
+    ]
 
 
 def check_robustness(
@@ -95,15 +106,9 @@ def check_robustness(
     if not chains:
         raise ValueError("run has no honest players")
 
-    agreement = chains_agree(chains, final_only=True)
-    ordering = strict_ordering_holds(chains, c)
-    validity = _validity_holds(result, chains)
-
     final_heights = [len(chain.final_blocks()) for chain in chains.values()]
     max_height = max(final_heights)
     min_height = min(final_heights)
-    liveness = (max_height - min_height) <= liveness_slack
-    progressed = max_height > 0
 
     censorship: Optional[bool] = None
     if censored_tx_ids is not None:
@@ -114,13 +119,12 @@ def check_robustness(
         )
 
     return RobustnessReport(
-        agreement=agreement,
-        strict_ordering=ordering,
-        validity=validity,
-        eventual_liveness=liveness,
+        strict_ordering=strict_ordering_holds(chains, c),
+        eventual_liveness=(max_height - min_height) <= liveness_slack,
         censorship_resistance=censorship,
-        progressed=progressed,
+        progressed=max_height > 0,
         fork_heights=disagreement_heights(chains, final_only=True),
+        invalid_txs=_invalid_txs(result, chains),
         max_final_height=max_height,
         min_final_height=min_height,
     )

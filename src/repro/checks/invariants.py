@@ -2,11 +2,15 @@
 
 Each checker guards one trace-level property the paper proves (or
 assumes) and reports :class:`Violation` objects when a finished run
-breaks it.  Checkers are small, independent and protocol-agnostic:
-they read honest chains, the trace, the collateral registry and the
-fraud proofs honest replicas hold — the same public artifacts the
-analysis layer uses — plus duck-typed quorum evidence where a protocol
-retains it.
+breaks it.  Checkers are small, independent and protocol-agnostic.
+The six that guard Definition 1 and Definition 6 (agreement,
+prefix-consistency, validity, liveness, no-honest-pof, accountability)
+are projections of the analysis layer's evaluations —
+:func:`~repro.analysis.robustness.check_robustness` and
+:func:`~repro.analysis.accountability.evaluate_accountability` — which
+:class:`OracleContext` computes once per pass.  The rest read honest
+chains, the trace and the collateral registry, plus duck-typed quorum
+evidence where a protocol retains it.
 
 A checker is *unconditional* (the property must hold on every run,
 whatever the adversary does — e.g. no honest player is ever burned) or
@@ -19,20 +23,15 @@ applicability logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.robustness import check_robustness
+from repro.analysis.accountability import AccountabilityReport, evaluate_accountability
+from repro.analysis.robustness import RobustnessReport, check_robustness
 from repro.core.messages import SignedStatement, statement_value, verify_statement
-from repro.core.pof import FraudProof
 from repro.crypto.aggregate import AggregateQC
 from repro.ledger.chain import ConfirmationStatus
-from repro.ledger.validation import (
-    chains_agree,
-    disagreement_heights,
-    is_adversarial_marker,
-    strict_ordering_holds,
-)
 from repro.protocols.runner import RunResult
 
 #: checker name → the paper result it guards (rendered by docs/CLI).
@@ -80,44 +79,21 @@ class OracleContext:
 
     result: RunResult
     scenario: Optional[Any] = None
-    seed: Optional[int] = None
-    _honest_chains: Optional[Dict[int, Any]] = field(default=None, repr=False)
-    _honest_proofs: Optional[Dict[int, FraudProof]] = field(default=None, repr=False)
-
-    @property
-    def honest_chains(self) -> Dict[int, Any]:
-        if self._honest_chains is None:
-            self._honest_chains = self.result.honest_chains()
-        return self._honest_chains
 
     @property
     def censored_tx_ids(self) -> Optional[List[str]]:
         censored = list(getattr(self.scenario, "censored_tx_ids", ()) or ())
         return censored or None
 
-    def honest_proofs(self) -> Dict[int, FraudProof]:
-        """Fraud proofs held by honest replicas, keyed by accused.
+    @cached_property
+    def robustness(self) -> RobustnessReport:
+        """Definition 1 over the honest ledgers, once per oracle pass."""
+        return check_robustness(self.result, censored_tx_ids=self.censored_tx_ids)
 
-        Cached: several checkers consume (and re-verify) the merged
-        dict, and one collection per oracle pass is enough.
-        """
-        if self._honest_proofs is None:
-            proofs: Dict[int, FraudProof] = {}
-            for pid in self.result.honest_ids:
-                detector = getattr(self.result.replicas[pid], "detector", None)
-                if detector is None:
-                    continue
-                proofs.update(detector.proofs())
-            self._honest_proofs = proofs
-        return self._honest_proofs
-
-    def ground_truth_deviators(self) -> Set[int]:
-        """Players whose strategy signs conflicting statements (π_ds)."""
-        return {
-            player.player_id
-            for player in self.result.players
-            if player.strategy.double_votes()
-        }
+    @cached_property
+    def accountability(self) -> AccountabilityReport:
+        """Definition 6's evaluation, once per oracle pass."""
+        return evaluate_accountability(self.result)
 
 
 class InvariantChecker:
@@ -162,13 +138,13 @@ class AgreementChecker(InvariantChecker):
     condition = "safety"
 
     def check(self, ctx: OracleContext) -> List[Violation]:
-        chains = ctx.honest_chains
-        if chains_agree(chains, final_only=True):
+        fork_heights = ctx.robustness.fork_heights
+        if not fork_heights:
             return []
         return [_violation(
             self.name,
             "honest players confirmed conflicting blocks",
-            fork_heights=tuple(disagreement_heights(chains, final_only=True)),
+            fork_heights=tuple(fork_heights),
         )]
 
 
@@ -180,7 +156,7 @@ class PrefixConsistencyChecker(InvariantChecker):
     condition = "safety"
 
     def check(self, ctx: OracleContext) -> List[Violation]:
-        if strict_ordering_holds(ctx.honest_chains, c=0):
+        if ctx.robustness.strict_ordering:
             return []
         return [_violation(self.name, "honest final ledgers are not prefixes of one another")]
 
@@ -220,9 +196,7 @@ class LivenessChecker(InvariantChecker):
         # laggard still flushing deferred commits; widen the run-end
         # slack accordingly (depth 1 keeps the legacy slack of 1).
         slack = max(1, int(getattr(ctx.scenario, "pipeline_depth", 1) or 1))
-        verdict = check_robustness(
-            ctx.result, censored_tx_ids=ctx.censored_tx_ids, liveness_slack=slack
-        )
+        verdict = ctx.robustness
         violations: List[Violation] = []
         progress_expected = self._progress_expected(ctx.scenario)
         if (
@@ -236,7 +210,7 @@ class LivenessChecker(InvariantChecker):
             progress_expected = False
         if not verdict.progressed and progress_expected:
             violations.append(_violation(self.name, "no block was ever finalised"))
-        if not verdict.eventual_liveness:
+        if verdict.max_final_height - verdict.min_final_height > slack:
             violations.append(_violation(
                 self.name,
                 "honest final heights diverge beyond the run-end slack",
@@ -267,7 +241,7 @@ class ChainIntegrityChecker(InvariantChecker):
 
     def check(self, ctx: OracleContext) -> List[Violation]:
         violations: List[Violation] = []
-        for pid, chain in ctx.honest_chains.items():
+        for pid, chain in ctx.result.honest_chains().items():
             blocks = chain.blocks(include_genesis=True)
             for height in range(1, len(blocks)):
                 if blocks[height].parent_digest != blocks[height - 1].digest:
@@ -301,18 +275,13 @@ class ValidityChecker(InvariantChecker):
     needs_full_history = True
 
     def check(self, ctx: OracleContext) -> List[Violation]:
-        submitted = set(ctx.result.submitted_tx_ids)
-        violations: List[Violation] = []
-        for pid, chain in ctx.honest_chains.items():
-            for block in chain.final_blocks():
-                for tx in block.transactions:
-                    if tx.tx_id in submitted or is_adversarial_marker(tx.tx_id):
-                        continue
-                    violations.append(_violation(
-                        self.name, "confirmed transaction was never submitted",
-                        player=pid, tx_id=tx.tx_id,
-                    ))
-        return violations
+        return [
+            _violation(
+                self.name, "confirmed transaction was never submitted",
+                player=pid, tx_id=tx_id,
+            )
+            for pid, tx_id in ctx.robustness.invalid_txs
+        ]
 
 
 class NoHonestPofChecker(InvariantChecker):
@@ -324,26 +293,20 @@ class NoHonestPofChecker(InvariantChecker):
     name = "no-honest-pof"
 
     def check(self, ctx: OracleContext) -> List[Violation]:
-        honest = set(ctx.result.honest_ids)
+        report = ctx.accountability
         violations: List[Violation] = []
-        framed = sorted(ctx.result.penalised_players() & honest)
+        framed = sorted(report.burned & report.honest_ids)
         if framed:
             violations.append(_violation(
                 self.name, "honest players had collateral burned", players=tuple(framed),
             ))
-        registry = ctx.result.ctx.registry
-        if registry.backend.unforgeable:
-            accused = {
-                accused
-                for accused, proof in ctx.honest_proofs().items()
-                if proof.verify(registry)
-            }
-            framed = sorted(accused & honest)
-            if framed:
-                violations.append(_violation(
-                    self.name, "a verifying Proof-of-Fraud accuses honest players",
-                    players=tuple(framed),
-                ))
+        # Empty under a forgeable backend: no proof binds there.
+        framed = sorted(report.provably_guilty & report.honest_ids)
+        if framed:
+            violations.append(_violation(
+                self.name, "a verifying Proof-of-Fraud accuses honest players",
+                players=tuple(framed),
+            ))
         return violations
 
 
@@ -358,7 +321,8 @@ class AccountabilityChecker(InvariantChecker):
     name = "accountability"
 
     def check(self, ctx: OracleContext) -> List[Violation]:
-        burned = ctx.result.penalised_players()
+        report = ctx.accountability
+        burned = report.burned
         if not burned:
             return []
         registry = ctx.result.ctx.registry
@@ -369,15 +333,13 @@ class AccountabilityChecker(InvariantChecker):
                 backend=registry.backend.name, players=tuple(sorted(burned)),
             )]
         violations: List[Violation] = []
-        proofs = ctx.honest_proofs()
-        provable = {accused for accused, proof in proofs.items() if proof.verify(registry)}
-        unproven = sorted(burned - provable)
+        unproven = sorted(burned - report.provably_guilty)
         if unproven:
             violations.append(_violation(
                 self.name, "burned players lack a verifying Proof-of-Fraud",
                 players=tuple(unproven),
             ))
-        framed = sorted(burned - ctx.ground_truth_deviators())
+        framed = sorted(burned - report.ground_truth_deviators)
         if framed:
             violations.append(_violation(
                 self.name, "burned players never actually double-signed",

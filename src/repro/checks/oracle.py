@@ -25,7 +25,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.checks.invariants import (
     CHECKER_PAPER_REFS,
-    InvariantChecker,
     OracleContext,
     Violation,
     default_checkers,
@@ -289,17 +288,12 @@ class OracleReport:
         )
 
 
-def run_oracle(
-    result: RunResult,
-    scenario: Optional[Any] = None,
-    seed: Optional[int] = None,
-    checkers: Optional[Sequence[InvariantChecker]] = None,
-) -> OracleReport:
+def run_oracle(result: RunResult, scenario: Optional[Any] = None) -> OracleReport:
     """Run the checker battery post-hoc over one finished run."""
     expectations = derive_expectations(result, scenario)
-    ctx = OracleContext(result=result, scenario=scenario, seed=seed)
+    ctx = OracleContext(result=result, scenario=scenario)
     verdicts: List[CheckVerdict] = []
-    for checker in checkers if checkers is not None else default_checkers():
+    for checker in default_checkers():
         if not expectations.applies(checker.condition):
             verdicts.append(CheckVerdict(
                 name=checker.name,

@@ -590,7 +590,7 @@ class Scenario:
         )
         result = run(spec)
         if self.check_invariants:
-            result.oracle = run_oracle(result, scenario=self, seed=seed)
+            result.oracle = run_oracle(result, scenario=self)
         # Opt-in warehouse mirror (REPRO_WAREHOUSE): flatten and store
         # the finished run.  Lazy import — the hook is a no-op for the
         # overwhelmingly common un-opted-in case, and sweep/fuzz

@@ -101,7 +101,7 @@ class RunRecord:
             if report is None:
                 from repro.checks import run_oracle
 
-                report = run_oracle(result, scenario=scenario, seed=seed)
+                report = run_oracle(result, scenario=scenario)
             # Stored sorted by checker name so records round-trip
             # exactly through the sort_keys=True JSON writer.
             invariants = tuple(sorted(report.as_items()))

@@ -18,10 +18,9 @@ from repro.ledger.chain import Chain
 
 
 #: Prefix equivocating strategies stamp on their synthetic fork-marker
-#: transactions.  The one place the literal lives: both the robustness
-#: checker and the trace oracle judge validity through the predicate
-#: below, so the two layers can never disagree about what counts as
-#: client-submitted content.
+#: transactions.  The one place the literal lives: validity is judged
+#: once, by the robustness checker through the predicate below, and
+#: the trace oracle reads that verdict.
 ADVERSARIAL_MARKER_PREFIX = "__fork-"
 
 
@@ -45,16 +44,7 @@ def chains_agree(chains: Dict[int, Chain], final_only: bool = True) -> bool:
     blocks are allowed to differ because the protocol may roll them
     back.
     """
-    views: List[List[Block]] = []
-    for chain in chains.values():
-        views.append(chain.final_blocks() if final_only else chain.blocks())
-    for i, left in enumerate(views):
-        for right in views[i + 1:]:
-            depth = min(len(left), len(right))
-            for height in range(depth):
-                if left[height].digest != right[height].digest:
-                    return False
-    return True
+    return not disagreement_heights(chains, final_only)
 
 
 def common_prefix_holds(chains: Dict[int, Chain], z: int) -> bool:
@@ -98,8 +88,8 @@ def strict_ordering_holds(chains: Dict[int, Chain], c: int) -> bool:
 def disagreement_heights(chains: Dict[int, Chain], final_only: bool = True) -> List[int]:
     """Heights at which some pair of chains holds conflicting blocks.
 
-    Used by the state classifier to detect σ_Fork and by tests to
-    pinpoint where a fork was created.
+    The one pairwise walk behind (t,k)-agreement: :func:`chains_agree`
+    and the robustness checker read agreement off an empty result.
     """
     views = {}
     for pid, chain in chains.items():

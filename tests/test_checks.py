@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis import check_accountability, check_robustness
 from repro.checks import (
     CHECKER_PAPER_REFS,
     Expectations,
@@ -11,7 +12,7 @@ from repro.checks import (
     derive_expectations,
     run_oracle,
 )
-from repro.checks.invariants import OracleContext
+from repro.core.messages import make_statement
 from repro.experiments import RunRecord, Scenario, get_scenario, scenario_catalog
 
 
@@ -157,6 +158,34 @@ class TestViolationDetection:
         report = run_oracle(result, scenario=get_scenario("honest"))
         assert "quorum-certs" in report.violated_names
 
+    def test_unsubmitted_confirmed_tx_violates_validity(self):
+        scenario = get_scenario("honest")
+        result = scenario.run(seed=0)
+        chain = result.honest_chains()[result.honest_ids[0]]
+        tx_id = chain.final_blocks()[0].transactions[0].tx_id
+        result.submitted_tx_ids.remove(tx_id)
+        assert check_robustness(result).validity is False
+        report = run_oracle(result, scenario=scenario)
+        violations = report.verdict("validity").violations
+        assert violations
+        assert all(v.detail_dict()["tx_id"] == tx_id for v in violations)
+        assert {v.detail_dict()["player"] for v in violations} == set(result.honest_ids)
+
+    def test_proof_against_honest_player_violates_no_honest_pof(self):
+        scenario = get_scenario("honest")
+        result = scenario.run(seed=0)
+        registry = result.ctx.registry
+        framed = result.honest_ids[1]
+        keypair = registry.keypair_of(framed)
+        detector = result.replicas[result.honest_ids[0]].detector
+        for digest in ("a" * 64, "b" * 64):
+            detector.absorb(make_statement(keypair, "vote", 0, digest))
+        report = run_oracle(result, scenario=scenario)
+        messages = [v.message for v in report.verdict("no-honest-pof").violations]
+        assert messages == ["a verifying Proof-of-Fraud accuses honest players"]
+        assert report.verdict("no-honest-pof").violations[0].detail_dict()["players"] == (framed,)
+        assert check_accountability(result).no_honest_framed is False
+
 
 class TestRecordRoundTrip:
     def test_record_carries_oracle_verdicts(self):
@@ -235,7 +264,7 @@ class TestCatchUpNeverDoubleSigns:
             max_time=600.0, max_events=150_000,
         )
         result = scenario.run(seed=seed)
-        report = run_oracle(result, scenario=scenario, seed=seed)
+        report = run_oracle(result, scenario=scenario)
         honest = set(result.honest_ids)
         assert not (result.penalised_players() & honest)
         assert report.verdict("no-honest-pof").status == "ok"
